@@ -105,6 +105,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_perf_smoke.py          # full sweep
     PYTHONPATH=src python benchmarks/bench_perf_smoke.py --fast   # < 60 s
 
+``--fast`` writes its JSON files under ``benchmarks/scratch/`` (gitignored)
+unless an ``--output*`` flag names a path; the full sweep writes the
+committed ``BENCH_PR*.json`` at the repository root.
+
 The acceptance workloads of PR 1 are always included:
 ``eclipse_transform`` at (n=50 000, d=4, ANTI, ratio (0.36, 2.75)) and
 ``eclipse_baseline`` at (n=5 000, d=4, ANTI).
@@ -150,6 +154,10 @@ OUTPUT_PR7 = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
 OUTPUT_PR8 = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
 OUTPUT_PR9 = Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
 OUTPUT_PR10 = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
+#: Where ``--fast`` writes its JSON files unless an ``--output*`` flag names
+#: a path: a gitignored directory, so a quick run never overwrites the
+#: committed full-sweep ``BENCH_PR*.json`` at the repository root.
+FAST_OUTPUT_DIR = Path(__file__).resolve().parent / "scratch"
 
 
 # ----------------------------------------------------------------------
@@ -2002,64 +2010,83 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=OUTPUT,
-        help=f"where to write the JSON results (default: {OUTPUT})",
+        default=None,
+        help=f"where to write the JSON results (default: {OUTPUT}; with --fast: "
+        f"the same name under {FAST_OUTPUT_DIR})",
     )
     parser.add_argument(
         "--output-pr2",
         type=Path,
-        default=OUTPUT_PR2,
-        help=f"where to write the PR 2 JSON results (default: {OUTPUT_PR2})",
+        default=None,
+        help=f"where to write {OUTPUT_PR2.name} (default: {OUTPUT_PR2}; with --fast: "
+        f"the same name under {FAST_OUTPUT_DIR})",
     )
     parser.add_argument(
         "--output-pr3",
         type=Path,
-        default=OUTPUT_PR3,
-        help=f"where to write the PR 3 JSON results (default: {OUTPUT_PR3})",
+        default=None,
+        help=f"where to write {OUTPUT_PR3.name} (default: {OUTPUT_PR3}; with --fast: "
+        f"the same name under {FAST_OUTPUT_DIR})",
     )
     parser.add_argument(
         "--output-pr4",
         type=Path,
-        default=OUTPUT_PR4,
-        help=f"where to write the PR 4 JSON results (default: {OUTPUT_PR4})",
+        default=None,
+        help=f"where to write {OUTPUT_PR4.name} (default: {OUTPUT_PR4}; with --fast: "
+        f"the same name under {FAST_OUTPUT_DIR})",
     )
     parser.add_argument(
         "--output-pr5",
         type=Path,
-        default=OUTPUT_PR5,
-        help=f"where to write the PR 5 JSON results (default: {OUTPUT_PR5})",
+        default=None,
+        help=f"where to write {OUTPUT_PR5.name} (default: {OUTPUT_PR5}; with --fast: "
+        f"the same name under {FAST_OUTPUT_DIR})",
     )
     parser.add_argument(
         "--output-pr6",
         type=Path,
-        default=OUTPUT_PR6,
-        help=f"where to write the PR 6 JSON results (default: {OUTPUT_PR6})",
+        default=None,
+        help=f"where to write {OUTPUT_PR6.name} (default: {OUTPUT_PR6}; with --fast: "
+        f"the same name under {FAST_OUTPUT_DIR})",
     )
     parser.add_argument(
         "--output-pr7",
         type=Path,
-        default=OUTPUT_PR7,
-        help=f"where to write the PR 7 JSON results (default: {OUTPUT_PR7})",
+        default=None,
+        help=f"where to write {OUTPUT_PR7.name} (default: {OUTPUT_PR7}; with --fast: "
+        f"the same name under {FAST_OUTPUT_DIR})",
     )
     parser.add_argument(
         "--output-pr8",
         type=Path,
-        default=OUTPUT_PR8,
-        help=f"where to write the PR 8 JSON results (default: {OUTPUT_PR8})",
+        default=None,
+        help=f"where to write {OUTPUT_PR8.name} (default: {OUTPUT_PR8}; with --fast: "
+        f"the same name under {FAST_OUTPUT_DIR})",
     )
     parser.add_argument(
         "--output-pr9",
         type=Path,
-        default=OUTPUT_PR9,
-        help=f"where to write the PR 9 JSON results (default: {OUTPUT_PR9})",
+        default=None,
+        help=f"where to write {OUTPUT_PR9.name} (default: {OUTPUT_PR9}; with --fast: "
+        f"the same name under {FAST_OUTPUT_DIR})",
     )
     parser.add_argument(
         "--output-pr10",
         type=Path,
-        default=OUTPUT_PR10,
-        help=f"where to write the PR 10 JSON results (default: {OUTPUT_PR10})",
+        default=None,
+        help=f"where to write {OUTPUT_PR10.name} (default: {OUTPUT_PR10}; with --fast: "
+        f"the same name under {FAST_OUTPUT_DIR})",
     )
     args = parser.parse_args(argv)
+    defaults = (OUTPUT, OUTPUT_PR2, OUTPUT_PR3, OUTPUT_PR4, OUTPUT_PR5,
+                OUTPUT_PR6, OUTPUT_PR7, OUTPUT_PR8, OUTPUT_PR9, OUTPUT_PR10)
+    dests = ["output"] + [f"output_pr{i}" for i in range(2, 11)]
+    for dest, default in zip(dests, defaults):
+        if getattr(args, dest) is None:
+            if args.fast:
+                FAST_OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
+                default = FAST_OUTPUT_DIR / default.name
+            setattr(args, dest, default)
 
     if args.fast:
         transform_sweep = [5_000, 50_000]

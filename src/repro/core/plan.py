@@ -1,4 +1,4 @@
-"""Query planning: the n-and-d-aware cost model behind every dispatch choice.
+"""Query planning: the measured cost model behind every dispatch choice.
 
 This module is the bottom layer of the plan → session → kernels stack: it
 knows nothing about datasets or algorithms, only about their *costs*.  It
@@ -8,12 +8,18 @@ replaces two hand-rolled heuristics that used to live elsewhere:
   facade (one-shot transform vs. amortised index queries), and
 * the purely d-based skyline ``auto`` dispatch of ``repro.skyline.api``.
 
-The cost model is deliberately coarse — estimates are in abstract "kernel
-element operations" (one vectorised comparison or multiply-add), good enough
-to rank methods, not to predict wall-clock times.  Where the caller knows
-better (a :class:`~repro.core.session.DatasetSession` that has already
-computed the raw-space skyline passes the *actual* skyline size ``u``), the
-model uses the measurement instead of the estimate.
+Query estimates are **predicted seconds**: each batch arm is priced from
+the layers the executor actually runs (the corner GEMM and corner-space
+skyline over the distinct skyline rows for the transformation; the order
+vector, tree probe and adjustment pass over the measured candidate share
+of the pair arena for the indexes; the index build per pair), with
+seconds-per-operation constants (:data:`CALIBRATION`) fitted by
+``benchmarks/calibrate_plan.py`` from a checked-in grid of warm timings.
+Where the caller knows better (a :class:`~repro.core.session.DatasetSession`
+that has already computed the raw-space skyline passes the *actual*
+skyline size ``u`` and its number of distinct rows), the model uses the
+measurement instead of the estimate.  The update arm (:func:`plan_update`)
+still compares abstract element-op counts of one artifact's two paths.
 
 Everything here is pure arithmetic over ``(n, d, num_queries)``; the module
 must not import from ``repro.skyline`` or its ``repro.core`` siblings so
@@ -24,9 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, Optional, Tuple
 
-from repro.errors import AlgorithmNotSupportedError
+from repro.errors import AlgorithmNotSupportedError, InvalidPlanInputError
 
 #: Canonical eclipse method names; several aliases map onto them.
 METHOD_ALIASES: Dict[str, str] = {
@@ -51,9 +58,80 @@ INDEX_METHODS: Tuple[str, ...] = ("quadtree", "cutting")
 #: its pruning gains and one block-SFS pass through the kernels is faster.
 SMALL_N_SFS_CUTOFF = 512
 
-#: Estimated fraction of the stored intersection hyperplanes that meet a
-#: typical dual query box (used to price an index query's correction step).
-CANDIDATE_FRACTION = 0.25
+#: Measured seconds of every layer a batch arm runs, fitted by
+#: ``benchmarks/calibrate_plan.py`` from the grid checked in as
+#: ``benchmarks/plan_calibration.json`` (ANTI/INDE/CORR x d in {2, 3, 4} x
+#: n in {5k, 20k, 50k}, 50-spec batches, serial kernels, one core of a
+#: 2-vCPU x86-64 host).  Each layer is ``[overhead_s, seconds_per_op]`` of
+#: ``t = overhead + slope * ops`` per query, with ``ops`` counted by the
+#: functions named beside it; index layers are keyed by
+#: :func:`index_layout`.
+#:
+#: * ``gemm`` — the corner GEMM over the unique skyline rows
+#:   (:func:`gemm_ops`);
+#: * ``mapped_skyline`` — one corner-space skyline per corner count and
+#:   substrate, per distinct skyline row;
+#: * ``order_vector`` — the reference-corner order vector
+#:   (:func:`order_vector_ops`);
+#: * ``probe`` / ``adjust`` — the tree probe and the adjustment pass, per
+#:   candidate pair and dual dimension;
+#: * ``candidate_share`` — candidates per probe over the pair arena
+#:   (:func:`distinct_pairs`), the largest share measured on the grid;
+#: * ``build`` — ``[overhead, per enumerated pair, per stored pair]`` of one
+#:   index build, pairs counted per dual dimension: every row pair
+#:   ``u (u - 1) / 2`` is enumerated, only :func:`distinct_pairs` are
+#:   stored and indexed (the skyline the build starts from is shared with
+#:   the transformation and not charged);
+#: * ``baseline`` — one baseline query (:func:`baseline_ops`);
+#: * ``transform_query`` / ``index_query`` — the rest of each arm's
+#:   per-query time (ratio parsing, expanding, sorting and wrapping the
+#:   result), per skyline row: end-to-end minus the measured layers.
+CALIBRATION: Dict[str, object] = {
+    "gemm": [1.18971e-07, 1.567e-10],
+    "mapped_skyline": {
+        "2": {
+            "divide_conquer": [1.73145e-06, 8.67173e-06],
+            "sfs": [2.2744e-05, 7.94218e-06],
+            "sweep2d": [1.45601e-05, 2.13403e-06],
+        },
+        "4": {
+            "divide_conquer": [8.32512e-06, 7.76991e-06],
+            "sfs": [4.22413e-05, 3.97571e-06],
+        },
+        "8": {
+            "divide_conquer": [4.26138e-06, 1.16792e-05],
+            "sfs": [4.77808e-05, 2.28414e-06],
+        },
+    },
+    "order_vector": [8.66687e-06, 8.04403e-10],
+    "probe": {
+        "cutting": [4.53113e-06, 2.07628e-07],
+        "quadtree": [4.45838e-06, 1.97721e-07],
+        "sorted": [3.93783e-06, 4.44738e-08],
+    },
+    "adjust": {
+        "cutting": [4.66444e-05, 7.17744e-08],
+        "quadtree": [3.86908e-05, 7.78006e-08],
+        "sorted": [3.07672e-05, 1.3715e-07],
+    },
+    "build": {
+        "cutting": [0.000696151, 5.50301e-08, 2.19334e-07],
+        "quadtree": [0.000795933, 5.9197e-08, 5.50006e-06],
+        "sorted": [0.000779521, 5.61859e-08, 1.1467e-05],
+    },
+    "candidate_share": {
+        "cutting": 0.762146,
+        "quadtree": 0.762146,
+        "sorted": 0.5825,
+    },
+    "baseline": [0.0110815, 4.59251e-11],
+    "transform_query": [3.21857e-05, 6.65222e-08],
+    "index_query": [2.5841e-05, 1.12829e-08],
+}
+
+# The update arm (:func:`plan_update`) compares the in-place maintenance of
+# one artifact against rebuilding that same artifact; it is not calibrated
+# in seconds yet and keeps the abstract element-op constants below.
 
 #: Per-pair constant of the *quadtree* index build (``d >= 3``).  The
 #: flattened level-order engine removed the per-node Python recursion, but
@@ -125,9 +203,10 @@ MAX_DEAD_FRACTION = 0.5
 #: ~2.8x at 4 threads, capped by the cores the host actually has.
 PARALLEL_EFFICIENCY = 0.6
 
-#: Share of the per-pair index-build constants
-#: (:data:`PAIR_BUILD_FACTOR_QUAD` / :data:`PAIR_BUILD_FACTOR_CUTTING`)
-#: that rides the parallel kernels — the pairwise-intersection enumeration
+#: Share of the per-pair index-build cost (the ``build`` slopes of
+#: :data:`CALIBRATION`, and :data:`PAIR_BUILD_FACTOR_QUAD` /
+#: :data:`PAIR_BUILD_FACTOR_CUTTING` in the update arm) that rides the
+#: parallel kernels — the pairwise-intersection enumeration
 #: and the skyline prefilter screens.  The rest (level-batched tree
 #: structuring, argsort regrouping, cut sampling) is sequential per level
 #: and does not scale with the executor, which is why index builds gain
@@ -148,7 +227,7 @@ PROCESS_EFFICIENCY = 0.45
 #: Fixed element-op cost of one process-backend dispatch — the export
 #: copies into pooled shared segments, worker attach, task pickling, and
 #: result IPC.  Measured at ~1-4 ms per dispatch, i.e. a few million of the
-#: abstract element-ops the estimates are denominated in; it is the floor
+#: operations each priced term counts; it is the floor
 #: that keeps small kernels priced honestly under ``backend="process"``.
 PROCESS_DISPATCH_FLOOR_OPS = 2.0e6
 
@@ -245,7 +324,10 @@ def choose_skyline_method(n: int, d: int) -> str:
 
 
 def skyline_cost(n: int, d: int, method: Optional[str] = None) -> float:
-    """Abstract cost of one skyline computation over an ``(n, d)`` input."""
+    """Abstract element-op cost of one skyline over an ``(n, d)`` input.
+
+    Prices the skyline artifact in the update arm (:func:`plan_update`).
+    """
     if n <= 1:
         return float(max(n, 0))
     if method is None:
@@ -261,22 +343,81 @@ def skyline_cost(n: int, d: int, method: Optional[str] = None) -> float:
     return 0.5 * n * expected_skyline_size(n, d) * d
 
 
+def _layer_seconds(layer, ops: float, speed: float = 1.0) -> float:
+    """``overhead + slope * ops`` of one calibrated layer, slope sped up."""
+    overhead, slope = layer
+    return overhead + slope * ops / speed
+
+
+def mapped_skyline_layers(corners: int) -> Dict[str, list]:
+    """Calibrated substrates of a ``corners``-column corner-score space.
+
+    Corner counts beyond the grid use the largest calibrated one.
+    """
+    table = CALIBRATION["mapped_skyline"]
+    key = str(corners) if str(corners) in table else max(table, key=int)
+    return table[key]
+
+
+def choose_mapped_skyline_method(rows: int, corners: int) -> str:
+    """The substrate with the lowest calibrated time on ``rows`` mapped rows.
+
+    The transformation maps only the distinct skyline rows, so this is
+    chosen for that row count, not for ``n``; all substrates return
+    identical indices.
+    """
+    layers = mapped_skyline_layers(corners)
+    return min(layers, key=lambda method: _layer_seconds(layers[method], rows))
+
+
+def gemm_ops(rows: float, d: int) -> float:
+    """Multiply-adds of one query's corner GEMM over ``rows`` rows."""
+    return float(rows) * d * 2 ** (d - 1)
+
+
+def order_vector_ops(u: float, d: int) -> float:
+    """One query's order vector: dual values of ``u`` slots, then a sort."""
+    return float(u) * (max(1, d - 1) + math.log2(u + 2.0))
+
+
+def baseline_ops(n: int, d: int) -> float:
+    """Corner-score comparisons of one baseline query (all point pairs)."""
+    return 0.5 * n * n * 2 ** (d - 1)
+
+
+def distinct_pairs(u: float, unique: float) -> float:
+    """Skyline row pairs that are not exact duplicates (lower bound).
+
+    Duplicate rows have coincident dual hyperplanes, which never intersect,
+    so the index stores only pairs of distinct rows.  Knowing ``u`` rows
+    and ``unique`` distinct ones, the fewest such pairs arise when every
+    duplicate copies one row.
+    """
+    copies = max(0.0, u - unique) + 1.0
+    return 0.5 * u * max(0.0, u - 1.0) - 0.5 * copies * (copies - 1.0)
+
+
+def index_layout(backend: str, d: int) -> str:
+    """Calibration key of an index: both backends share one 2-D structure."""
+    return "sorted" if d == 2 else backend
+
+
 # ----------------------------------------------------------------------
 # Method cost estimates
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CostEstimate:
-    """Estimated cost of one eclipse method, split into build and per-query.
+    """Predicted seconds of one eclipse method, split into build and per-query.
 
     Attributes
     ----------
     method:
         Canonical method name.
     build:
-        One-time cost paid before the first query (index construction; zero
-        for the scan-based methods).
+        One-time seconds paid before the first query (index construction;
+        zero for the scan-based methods).
     per_query:
-        Cost of answering one ratio-range query once any build is done.
+        Seconds of answering one ratio-range query once any build is done.
     """
 
     method: str
@@ -284,7 +425,7 @@ class CostEstimate:
     per_query: float
 
     def total(self, num_queries: int) -> float:
-        """Total cost of ``num_queries`` queries including the build."""
+        """Total seconds of ``num_queries`` queries including the build."""
         return self.build + max(1, num_queries) * self.per_query
 
 
@@ -294,8 +435,23 @@ def method_cost_estimates(
     num_skyline: Optional[int] = None,
     threads: int = 1,
     backend: str = "thread",
+    num_unique_skyline: Optional[int] = None,
 ) -> Tuple[CostEstimate, ...]:
-    """Cost estimates for all four eclipse methods on one dataset shape.
+    """Predicted seconds of all four eclipse methods on one dataset shape.
+
+    Each arm is priced from the layers the batch executor runs, with the
+    constants of :data:`CALIBRATION`:
+
+    * **transform** — one corner GEMM over the distinct skyline rows plus
+      one corner-space skyline over them with the substrate
+      :func:`choose_mapped_skyline_method` picks;
+    * **quadtree / cutting** — the order vector over the ``u`` skyline
+      slots, the tree probe and the adjustment pass over the measured
+      candidate share of the stored pair arena (:func:`distinct_pairs`);
+      the build per enumerated pair, ``u (u - 1) / 2``;
+    * **baseline** — one all-pairs query.
+
+    The skyline both batch arms start from is shared and not charged.
 
     Parameters
     ----------
@@ -303,60 +459,67 @@ def method_cost_estimates(
         Dataset shape ``(n, d)``.
     num_skyline:
         Measured raw-space skyline size ``u`` when the caller has one (it
-        bounds the index size much more tightly than the independence
-        estimate, especially on anticorrelated data).
+        sizes both arms far more tightly than the independence estimate,
+        especially on anticorrelated data).
     threads:
-        Executor worker count the kernels will run with.  The fully
-        kernel-bound terms (dominance screens, the corner GEMM, the
-        batched tree probes, pair enumeration) divide by
-        :func:`parallel_speedup`; the sequential tree-structuring share of
-        the index builds (:data:`PAIR_BUILD_PARALLEL_SHARE`) does not, so
-        break-evens shift honestly rather than uniformly.
+        Executor worker count the kernels will run with.  The kernel-bound
+        slopes (GEMM, screens, probes, adjustments, pair enumeration)
+        divide by :func:`parallel_speedup`; the per-call overheads and the
+        sequential tree-structuring share of the index builds
+        (:data:`PAIR_BUILD_PARALLEL_SHARE`) do not.
     backend:
-        Dispatch backend the kernels will run with.  ``"thread"`` (default)
-        reproduces the PR 7 estimates exactly; ``"process"`` applies
-        :data:`PROCESS_EFFICIENCY` and the per-term dispatch-overhead floor
-        (each parallel term passes its own work to
-        :func:`parallel_speedup`, so small terms are priced serial);
-        ``"serial"`` disables the parallel division entirely.
+        Dispatch backend the kernels will run with (``"thread"``,
+        ``"process"`` with its dispatch floor per term, or ``"serial"``).
+    num_unique_skyline:
+        Number of distinct skyline rows; the transformation collapses
+        duplicates before its GEMM, so it is priced on this count
+        (defaults to ``u``).
     """
     n = max(0, int(num_points))
     d = max(2, int(dimensions))
-    corners = 2.0 ** (d - 1)
+    corners = 2 ** (d - 1)
     u = float(num_skyline) if num_skyline is not None else expected_skyline_size(n, d)
-    pairs = 0.5 * u * max(0.0, u - 1.0)
+    rows = float(num_unique_skyline) if num_unique_skyline is not None else u
+    cal = CALIBRATION
 
     def _speed(work: float) -> float:
         return parallel_speedup(threads, backend=backend, work=work)
 
-    map_cost = n * corners * d
-    transform_work = map_cost + skyline_cost(n, int(corners))
-    transform_q = transform_work / _speed(transform_work)
-    baseline_work = 0.5 * n * n * corners
-    baseline_q = baseline_work / _speed(baseline_work)
-    quad_factor = PAIR_BUILD_FACTOR_2D if d == 2 else PAIR_BUILD_FACTOR_QUAD
-    cutting_factor = PAIR_BUILD_FACTOR_2D if d == 2 else PAIR_BUILD_FACTOR_CUTTING
-    pair_work = pairs * max(1, d - 1)
-    # The skyline prefilter and pair enumeration parallelise; the per-level
-    # tree structuring baked into the per-pair constants does not.
+    def _layer(layer, ops: float) -> float:
+        return _layer_seconds(layer, ops, _speed(ops))
+
+    substrate = choose_mapped_skyline_method(int(rows), corners)
+    transform_q = (
+        _layer_seconds(cal["transform_query"], u)
+        + _layer(cal["gemm"], gemm_ops(rows, d))
+        + _layer(mapped_skyline_layers(corners)[substrate], rows)
+    )
+    baseline_q = _layer(cal["baseline"], baseline_ops(n, d))
+    # A build enumerates every row pair; only pairs of distinct rows are
+    # stored and probed.
+    pair_work = 0.5 * u * max(0.0, u - 1.0) * max(1, d - 1)
+    stored_work = distinct_pairs(u, rows) * max(1, d - 1)
+    # Pair enumeration parallelises; the per-level tree structuring does not.
     build_scale = PAIR_BUILD_PARALLEL_SHARE / _speed(pair_work) + (
         1.0 - PAIR_BUILD_PARALLEL_SHARE
     )
-    sky_work = skyline_cost(n, d)
-    sky_build = sky_work / _speed(sky_work)
-    probe_work = pairs * CANDIDATE_FRACTION * max(1, d - 1)
-    index_q = u * math.log2(u + 2.0) + probe_work / _speed(probe_work)
-
-    return (
+    estimates = [
         CostEstimate("baseline", 0.0, baseline_q),
         CostEstimate("transform", 0.0, transform_q),
-        CostEstimate(
-            "quadtree", sky_build + pair_work * quad_factor * build_scale, index_q
-        ),
-        CostEstimate(
-            "cutting", sky_build + pair_work * cutting_factor * build_scale, index_q
-        ),
-    )
+    ]
+    for method in INDEX_METHODS:
+        layout = index_layout(method, d)
+        overhead, per_pair, per_stored = cal["build"][layout]
+        candidates = cal["candidate_share"][layout] * stored_work
+        index_q = (
+            _layer_seconds(cal["index_query"], u)
+            + _layer(cal["order_vector"], order_vector_ops(u, d))
+            + _layer(cal["probe"][layout], candidates)
+            + _layer(cal["adjust"][layout], candidates)
+        )
+        build = overhead + (per_pair * pair_work + per_stored * stored_work) * build_scale
+        estimates.append(CostEstimate(method, build, index_q))
+    return tuple(estimates)
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +537,9 @@ class QueryPlan:
         Skyline substrate for raw-space computations (the index build's
         prefilter and the batch executor's shared skyline).
     mapped_skyline_method:
-        Substrate for the corner-score space of the transformation
-        algorithm, whose dimensionality is ``2^{d-1}``, not ``d``.
+        Substrate the batched transformation runs on the corner scores of
+        the unique skyline rows (``2^{d-1}`` columns); the executor uses
+        exactly this one.
     index_backend:
         Intersection-index backend for the index methods, ``None`` otherwise.
     num_points, dimensions, num_queries:
@@ -386,6 +550,8 @@ class QueryPlan:
         :class:`CostEstimate` for every method, for :meth:`explain`.
     reason:
         One-line human-readable justification of the choice.
+    num_unique_skyline:
+        Measured number of distinct skyline rows, when available.
     """
 
     method: str
@@ -398,6 +564,7 @@ class QueryPlan:
     num_skyline: Optional[int]
     estimates: Tuple[CostEstimate, ...]
     reason: str
+    num_unique_skyline: Optional[int] = None
 
     @property
     def uses_index(self) -> bool:
@@ -413,11 +580,11 @@ class QueryPlan:
 
     @property
     def expected_cost(self) -> float:
-        """Total estimated cost of the chosen method for this workload."""
+        """Predicted total seconds of the chosen method for this workload."""
         return self.estimate_for(self.method).total(self.num_queries)
 
     def best_alternative_cost(self, num_queries: Optional[int] = None) -> Optional[float]:
-        """Total cost of the cheapest index-free method, ``None`` if none.
+        """Total seconds of the cheapest index-free method, ``None`` if none.
 
         The index advisor's admission gate compares the chosen index
         method against this: skipping the build always leaves an exact
@@ -456,6 +623,8 @@ class QueryPlan:
             if self.num_skyline is not None
             else f"~{expected_skyline_size(self.num_points, self.dimensions):.0f} (estimated)"
         )
+        if self.num_unique_skyline is not None:
+            u_text += f", {self.num_unique_skyline} unique"
         lines = [
             "eclipse query plan",
             f"  dataset        n={self.num_points} points, d={self.dimensions} "
@@ -468,16 +637,33 @@ class QueryPlan:
             f"  substrates     raw-space skyline: {self.skyline_method}, "
             f"corner-score space: {self.mapped_skyline_method}",
             f"  reason         {self.reason}",
-            "  estimated cost (abstract kernel element-ops):",
+            "  predicted cost (ms, calibrated serial kernels; shared skyline not charged):",
         ]
         for estimate in self.estimates:
             marker = "->" if estimate.method == self.method else "  "
             lines.append(
-                f"    {marker} {estimate.method:<9} build={estimate.build:>12.3e}  "
-                f"per-query={estimate.per_query:>12.3e}  "
-                f"total={estimate.total(self.num_queries):>12.3e}"
+                f"    {marker} {estimate.method:<9} build={1e3 * estimate.build:>12.4g}  "
+                f"per-query={1e3 * estimate.per_query:>12.4g}  "
+                f"total={1e3 * estimate.total(self.num_queries):>12.4g}"
             )
         return "\n".join(lines)
+
+
+def validate_num_queries(num_queries) -> int:
+    """``num_queries`` as an int, or :class:`InvalidPlanInputError`.
+
+    Accepts Python and numpy integers of at least 1; rejects booleans,
+    floats and strings instead of coercing them.
+    """
+    if (
+        isinstance(num_queries, bool)
+        or not isinstance(num_queries, Integral)
+        or num_queries < 1
+    ):
+        raise InvalidPlanInputError(
+            f"num_queries must be an integer >= 1, got {num_queries!r}"
+        )
+    return int(num_queries)
 
 
 def plan_query(
@@ -488,6 +674,7 @@ def plan_query(
     num_skyline: Optional[int] = None,
     threads: int = 1,
     backend: str = "thread",
+    num_unique_skyline: Optional[int] = None,
 ) -> QueryPlan:
     """Build a :class:`QueryPlan` for a workload of ratio-range queries.
 
@@ -499,29 +686,33 @@ def plan_query(
         A method name/alias to pin the choice, or ``"auto"`` to let the cost
         model decide.  ``auto`` keeps the paper's one-shot behaviour — the
         corner-score transformation, exact in every dimensionality — and for
-        batches compares the transformation's per-query cost against
-        amortising the cheapest index build (quadtree or cutting, priced by
-        their per-pair build constants) over the whole batch.
+        batches picks whichever of the batched transformation and the
+        cheapest index (its build amortised over the batch) has the lower
+        predicted total seconds.
     num_queries:
-        Number of ratio-range queries that will share the plan.
-    num_skyline:
-        Measured raw-space skyline size, when available (see
-        :func:`method_cost_estimates`).
+        Number of ratio-range queries that will share the plan (an
+        integer >= 1, see :func:`validate_num_queries`).
+    num_skyline, num_unique_skyline:
+        Measured raw-space skyline size and number of distinct skyline
+        rows, when available (see :func:`method_cost_estimates`).
     threads:
         Executor worker count the kernels will run with (see
-        :func:`method_cost_estimates`); index builds parallelise less than
-        the transformation's screens, so more threads shift the batch
-        break-even toward the transformation.
+        :func:`method_cost_estimates`).
     backend:
         Dispatch backend the kernels will run with (see
         :func:`method_cost_estimates`).
     """
     chosen = canonical_method(method)
+    q = validate_num_queries(num_queries)
     n = max(0, int(num_points))
     d = max(2, int(dimensions))
-    q = max(1, int(num_queries))
     estimates = method_cost_estimates(
-        n, d, num_skyline=num_skyline, threads=threads, backend=backend
+        n,
+        d,
+        num_skyline=num_skyline,
+        threads=threads,
+        backend=backend,
+        num_unique_skyline=num_unique_skyline,
     )
 
     if chosen != "auto":
@@ -545,22 +736,23 @@ def plan_query(
             chosen = best_index.method
             reason = (
                 f"batch of {q}: one {best_index.method} build amortised over "
-                f"the batch beats {q} transformation passes "
-                f"({index_total:.2e} vs {transform_total:.2e} element-ops)"
+                f"the batch beats {q} batched transformation queries "
+                f"({1e3 * index_total:.3g} vs {1e3 * transform_total:.3g} ms)"
             )
         else:
             chosen = "transform"
             reason = (
-                f"batch of {q}: the cheapest index build ({best_index.method}) "
-                f"would not amortise "
-                f"({index_total:.2e} vs {transform_total:.2e} element-ops)"
+                f"batch of {q}: the batched transformation beats the cheapest "
+                f"index ({best_index.method}, build included) "
+                f"({1e3 * transform_total:.3g} vs {1e3 * index_total:.3g} ms)"
             )
 
-    corners = 2 ** (d - 1)
+    u = float(num_skyline) if num_skyline is not None else expected_skyline_size(n, d)
+    rows = num_unique_skyline if num_unique_skyline is not None else u
     return QueryPlan(
         method=chosen,
         skyline_method=choose_skyline_method(n, d),
-        mapped_skyline_method=choose_skyline_method(n, corners),
+        mapped_skyline_method=choose_mapped_skyline_method(int(rows), 2 ** (d - 1)),
         index_backend=chosen if chosen in INDEX_METHODS else None,
         num_points=n,
         dimensions=d,
@@ -568,6 +760,9 @@ def plan_query(
         num_skyline=None if num_skyline is None else int(num_skyline),
         estimates=estimates,
         reason=reason,
+        num_unique_skyline=(
+            None if num_unique_skyline is None else int(num_unique_skyline)
+        ),
     )
 
 
@@ -588,9 +783,8 @@ class UpdatePlan:
     artifact:
         What the decision is about: ``"skyline"`` or ``"index"``.
     update_cost, rebuild_cost:
-        The two estimated costs, in the same abstract kernel element-ops as
-        :class:`CostEstimate` (for ``"compact"`` the update cost includes
-        the compaction pass).
+        The two estimated costs, in abstract kernel element-ops (for
+        ``"compact"`` the update cost includes the compaction pass).
     reason:
         One-line human-readable justification.
     """

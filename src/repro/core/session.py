@@ -40,6 +40,7 @@ from repro.core.plan import (
     QueryPlan,
     UpdatePlan,
     canonical_method,
+    validate_num_queries,
 )
 from repro.core.transform import eclipse_transform_indices
 from repro.core.weights import RatioVector, make_ratio_vector
@@ -513,6 +514,30 @@ class DatasetSession:
             self.stats.skyline_builds += 1
         return self._skyline_idx
 
+    def _unique_skyline(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Distinct skyline rows, and each skyline row's position among them.
+
+        Computed once per generation.  Exact-duplicate rows have identical
+        corner scores, never dominate each other and share every dominator,
+        so the batched transformation maps the distinct rows only.
+        """
+        sky = self.skyline()
+        cached = self.__dict__.get("_unique_sky")
+        if cached is None or cached[0] != self._generation:
+            points = self._data[sky]
+            # Lexicographic sort, then a new group wherever a row differs
+            # from its predecessor (several times cheaper than
+            # np.unique(axis=0) on the small skylines this sees).
+            order = np.lexsort(points.T[::-1])
+            ordered = points[order]
+            first = np.ones(order.size, dtype=bool)
+            np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+            inverse = np.empty(order.size, dtype=np.intp)
+            inverse[order] = np.cumsum(first) - 1
+            cached = (self._generation, ordered[first], inverse)
+            self._unique_sky = cached
+        return cached[1], cached[2]
+
     def index_for(self, backend: str = "quadtree", **overrides) -> EclipseIndex:
         """Return (building and caching if needed) the index for ``backend``.
 
@@ -918,14 +943,22 @@ class DatasetSession:
     ) -> QueryPlan:
         """Build a :class:`QueryPlan` for this dataset.
 
-        When the skyline has already been computed its measured size feeds
-        the cost model, which prices the index methods far more accurately
-        than the independence estimate (anticorrelated data has skylines
-        orders of magnitude larger).
+        When the skyline has already been computed its measured size and
+        its number of distinct rows feed the cost model, which prices both
+        batch arms far more accurately than the independence estimate
+        (anticorrelated data has skylines orders of magnitude larger).
+
+        ``method`` must name a method (see
+        :func:`~repro.core.plan.canonical_method`) and ``num_queries`` be an
+        integer >= 1; anything else raises a
+        :class:`~repro.errors.ReproError` subclass before any planning.
         """
-        num_skyline = (
-            int(self._skyline_idx.size) if self._skyline_cached() else None
-        )
+        method = canonical_method(method)
+        num_queries = validate_num_queries(num_queries)
+        num_skyline = num_unique = None
+        if self._skyline_cached():
+            num_skyline = int(self._skyline_idx.size)
+            num_unique = int(self._unique_skyline()[0].shape[0])
         # Planning flows through the advisor's memoised what-if estimator:
         # plans are frozen, so repeated workload shapes (the common case on
         # a query stream) are served from the memo, and the estimator's
@@ -938,6 +971,7 @@ class DatasetSession:
             num_skyline=num_skyline,
             threads=resolve_threads(self._threads),
             backend=resolve_backend(self._backend),
+            num_unique_skyline=num_unique,
         )
         self.stats.cost_requests = self.advisor.cost_model.cost_requests
         self.stats.cache_hits = self.advisor.cost_model.cache_hits
@@ -974,15 +1008,21 @@ class DatasetSession:
 
         One plan covers the whole batch; the shared artifacts — the raw
         skyline, the stacked corner-score matrix, the built index — are each
-        computed at most once (visible in :attr:`stats`):
+        computed at most once (visible in :attr:`stats`).  ``auto`` picks
+        whichever arm the calibrated cost model predicts faster for the
+        measured skyline — on every calibrated shape so far the batched
+        transformation, because the index's candidate sets cover most of
+        its pair arena:
 
         * **index methods** — one index build amortised over all queries;
         * **transform** — eclipse points are always raw-space skyline
           points (every corner weight vector is non-negative with at least
           one strictly positive entry), so the batch computes the skyline
-          once, maps *only the skyline points* through the corner vectors of
+          once, maps *only its distinct rows* through the corner vectors of
           *all* specifications in a single stacked GEMM, and runs one small
-          mapped-space skyline per specification;
+          mapped-space skyline per specification with the substrate the
+          plan chose (``plan.mapped_skyline_method``); every copy of a
+          surviving row is returned (exact duplicates share fate);
         * **baseline** — executed per query (its pairwise structure shares
           nothing), kept for explicit requests.
 
@@ -1027,8 +1067,9 @@ class DatasetSession:
                 # computes the same answers without the build.  The plan is
                 # re-recorded so last_plan reflects what actually ran.
                 self.stats.index_builds_skipped = self.advisor.builds_skipped
-                self.plan(method="transform", num_queries=len(specs))
-                return self._run_batch_transform(specs)
+                return self._run_batch_transform(
+                    specs, self.plan(method="transform", num_queries=len(specs))
+                )
             # One batched probe call for the whole batch: the index shares
             # one order-vector GEMM and one intersection-tree traversal
             # across all specifications (see EclipseIndex.query_indices_many).
@@ -1043,8 +1084,9 @@ class DatasetSession:
                 # transformation instead of surfacing the build error; the
                 # failure is memoised per index configuration, and the plan
                 # is re-recorded so last_plan reflects what actually ran.
-                self.plan(method="transform", num_queries=len(specs))
-                return self._run_batch_transform(specs)
+                return self._run_batch_transform(
+                    specs, self.plan(method="transform", num_queries=len(specs))
+                )
             with self._kernel_scope():
                 batch_indices = index.query_indices_many(specs)
             results = []
@@ -1064,35 +1106,42 @@ class DatasetSession:
             self._enforce_index_budget()
             return results
         if chosen == "transform":
-            return self._run_batch_transform(specs)
+            return self._run_batch_transform(specs, plan)
         return [self._execute_single(chosen, rv) for rv in specs]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _run_batch_transform(self, specs: Sequence[RatioVector]) -> List[EclipseResult]:
+    def _run_batch_transform(
+        self, specs: Sequence[RatioVector], plan: QueryPlan
+    ) -> List[EclipseResult]:
         if any(np.any(rv.highs <= 0.0) for rv in specs):
             # A zero upper bound produces zero corner weights, for which
             # raw-space dominance no longer implies corner-score dominance;
             # fall back to independent full-dataset transforms.
             return [self._execute_single("transform", rv) for rv in specs]
         sky = self.skyline()
-        sky_points = self._data[sky]
+        rows, inverse = self._unique_skyline()
         corners_per_spec = 2 ** (self.dimensions - 1)
         all_corners = np.vstack([rv.corner_weight_vectors() for rv in specs])
+        in_skyline = np.empty(rows.shape[0], dtype=bool)
         with self._kernel_scope():
-            # One GEMM for the batch, row-partitioned across the executor's
-            # workers (row splits never re-associate partial sums, so the
-            # product is byte-identical to the serial one).
-            corner_matrix = parallel_matmul(sky_points, all_corners.T)
+            # One GEMM for the batch over the distinct skyline rows,
+            # row-partitioned across the executor's workers (row splits
+            # never re-associate partial sums, so the product is
+            # byte-identical to the serial one).
+            corner_matrix = parallel_matmul(rows, all_corners.T)
             self.stats.corner_matrix_builds += 1
 
             results = []
             for position, ratio_vector in enumerate(specs):
                 start = position * corners_per_spec
                 mapped = corner_matrix[:, start : start + corners_per_spec]
-                local = _skyline_indices(mapped, method="auto")
-                indices = np.sort(sky[local])
+                local = _skyline_indices(mapped, method=plan.mapped_skyline_method)
+                # Re-expand: every copy of a surviving row survives.
+                in_skyline[:] = False
+                in_skyline[local] = True
+                indices = np.sort(sky[in_skyline[inverse]])
                 self.stats.queries += 1
                 results.append(self._wrap(indices, "transform", ratio_vector))
         return results

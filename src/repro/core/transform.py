@@ -136,9 +136,14 @@ def eclipse_transform_indices(
         Anything accepted by :func:`repro.core.weights.make_ratio_vector`.
     skyline_method:
         Which skyline substrate to run on the mapped points; ``"auto"``
-        (default) selects the two-dimensional sweep when the mapped space is
-        two-dimensional and divide-and-conquer otherwise, matching the
-        paper's pairing of Algorithms 2 and 3.
+        (default) applies :func:`repro.core.plan.choose_skyline_method` to
+        the mapped shape ``(n, 2^{d-1})``: the two-dimensional sweep when
+        the mapped space is two-dimensional (``d = 2``), block-SFS below
+        512 points or beyond four mapped columns (``d >= 4``), and
+        divide-and-conquer otherwise.  (The batched
+        :meth:`~repro.core.session.DatasetSession.run_batch` maps only the
+        distinct skyline rows and runs the substrate its plan picked for
+        that row count.)
     mapping:
         ``"corner"`` (default, exact in every dimensionality) or
         ``"intercept"`` (the paper's Algorithm 3 mapping; exact for

@@ -42,6 +42,10 @@ class AlgorithmNotSupportedError(ReproError, ValueError):
     """Raised when an unknown algorithm/method name is requested."""
 
 
+class InvalidPlanInputError(ReproError, ValueError):
+    """Raised when a planner input is malformed (e.g. ``num_queries="5"``)."""
+
+
 class DegenerateHyperplaneError(InvalidDatasetError):
     """Raised when an index build meets unsplittable duplicate hyperplanes.
 

@@ -63,6 +63,11 @@ DEFAULT_MIN_COST_IMPROVEMENT = 1.003
 #: decays.
 BENEFIT_DECAY = 0.95
 
+#: Nominal benefit (planner seconds) credited per memoised degenerate-build
+#: failure: small beside any index that saved real work, so failures are the
+#: first to go when the budget binds.
+FAILURE_ENTRY_BENEFIT = 1e-6
+
 #: Nominal resident bytes charged per memoised degenerate-build failure.
 #: The exception objects are tiny, but charging them keeps the failure cache
 #: under the same ledger (and therefore bounded) instead of growing without
@@ -185,6 +190,7 @@ class WhatIfCostModel:
         num_skyline: Optional[int] = None,
         threads: int = 1,
         backend: str = "thread",
+        num_unique_skyline: Optional[int] = None,
     ) -> QueryPlan:
         """Memoised :func:`repro.core.plan.plan_query` (plans are frozen)."""
         key = (
@@ -196,6 +202,7 @@ class WhatIfCostModel:
             num_skyline,
             threads,
             backend,
+            num_unique_skyline,
         )
         return self._memoised(
             key,
@@ -207,6 +214,7 @@ class WhatIfCostModel:
                 num_skyline=num_skyline,
                 threads=threads,
                 backend=backend,
+                num_unique_skyline=num_unique_skyline,
             ),
         )
 
@@ -262,7 +270,7 @@ class LedgerEntry:
     """Benefit bookkeeping of one cache key (index or memoised failure).
 
     ``benefit`` holds the decayed accumulated savings in the planner's
-    abstract cost units; ``clock`` is the advisor tick of the last credit,
+    predicted seconds; ``clock`` is the advisor tick of the last credit,
     so the effective benefit at any later tick is
     ``benefit * BENEFIT_DECAY ** (now - clock)``.
     """
@@ -369,7 +377,7 @@ class IndexAdvisor:
         """Register one memoised degenerate-build failure under the ledger."""
         self._clock += 1
         entry = self._entry(key, kind="failure")
-        entry.benefit = entry.decayed(self._clock) + 1.0
+        entry.benefit = entry.decayed(self._clock) + FAILURE_ENTRY_BENEFIT
         entry.clock = self._clock
         entry.hits += 1
         entry.resident = True
@@ -503,6 +511,7 @@ class IndexAdvisor:
 __all__ = [
     "BENEFIT_DECAY",
     "DEFAULT_MIN_COST_IMPROVEMENT",
+    "FAILURE_ENTRY_BENEFIT",
     "FAILURE_ENTRY_BYTES",
     "IndexAdvisor",
     "LedgerEntry",

@@ -37,3 +37,28 @@ def distribution(request) -> str:
 def small_dataset(distribution: str, dimensions: int, n: int = 120, seed: int = 5):
     """Helper used by cross-algorithm tests (kept small so BASE stays fast)."""
     return generate_dataset(distribution, n, dimensions, seed=seed)
+
+
+@pytest.fixture
+def force_auto_index(monkeypatch):
+    """Make a session's ``auto`` plans pick an index, to drive its fallbacks.
+
+    Returns ``force(session, backend="cutting")``.  Afterwards every
+    ``session.plan(method="auto")`` returns the plan of the pinned
+    ``backend``, so the auto-only degenerate-index fallbacks run whatever
+    the cost model would choose.  The index budget is cleared so the
+    advisor admits the build under every environment.
+    """
+    monkeypatch.delenv("REPRO_INDEX_BUDGET_MB", raising=False)
+
+    def force(session, backend="cutting"):
+        real = session.plan
+
+        def plan(method="auto", num_queries=1):
+            if method == "auto":
+                method = backend
+            return real(method=method, num_queries=num_queries)
+
+        monkeypatch.setattr(session, "plan", plan)
+
+    return force

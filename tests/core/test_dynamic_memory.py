@@ -252,14 +252,15 @@ class TestSessionDynamicMemory:
         ):
             assert np.array_equal(got.indices, want.indices)
 
-    def test_degenerate_arrivals_after_dead_slots_fall_back(self):
+    def test_degenerate_arrivals_after_dead_slots_fall_back(self, force_auto_index):
         rng = np.random.default_rng(6)
         data = rng.uniform(4.0, 10.0, size=(60, 3))
         session = DatasetSession(data, index_kwargs={"capacity": 4})
+        force_auto_index(session)
         specs = random_specs(rng, 5, 3)
         session.run_batch(specs, method="auto")
-        if session.last_plan.method not in ("quadtree", "cutting"):
-            pytest.skip("cost model did not pick an index for this shape")
+        assert session.last_plan.method == "cutting"
+        assert session.stats.index_builds == 1
         # First retire some slots, then pile in collinear dominators: the
         # in-place update must fail internally, drop the index, and the
         # next auto batch must fall back to the exact transformation.

@@ -14,7 +14,8 @@ from repro.core.plan import (
     method_cost_estimates,
     plan_query,
 )
-from repro.errors import AlgorithmNotSupportedError
+from repro.errors import AlgorithmNotSupportedError, InvalidPlanInputError
+from tests.core.test_plan_calibration import GRID
 
 
 class TestCanonicalMethod:
@@ -118,13 +119,36 @@ class TestPlanQuery:
         assert not plan.uses_index
 
     def test_large_batches_amortise_an_index(self):
-        plan = plan_query(50_000, 3, method="auto", num_queries=200)
-        assert plan.uses_index
-        assert plan.index_backend == plan.method
-        # PR 3 recalibration: the flattened cutting build (load-reduction
-        # rollback) is priced far below the quadtree build, so the planner
-        # now amortises the cheapest index, not quadtree unconditionally.
-        assert plan.method == "cutting"
+        # 200-query batches amortise each index build four times further
+        # than the calibration grid's 50-spec batches.  On every grid cell
+        # auto must pick an arm whose measured ms/q at 200 queries (build
+        # amortised) is within 1.5x of the best arm's: an index exactly
+        # where the measurements say it amortises.
+        for row in GRID["rows"]:
+            q = 200
+            measured = {
+                arm: entry["build_ms"] / q + entry["query_ms"]
+                for arm, entry in row["arms"].items()
+                if "query_ms" in entry
+            }
+            plan = plan_query(
+                row["n"],
+                row["d"],
+                method="auto",
+                num_queries=q,
+                num_skyline=row["skyline"],
+                num_unique_skyline=row["unique_skyline"],
+            )
+            assert plan.index_backend == (plan.method if plan.uses_index else None)
+            assert measured[plan.method] <= 1.5 * min(measured.values()), row
+
+    def test_anti_batches_stay_on_the_transformation(self):
+        # The measured misroute this cost model fixes: ANTI n=20k d=3
+        # batches went to a cutting index ~20-40x slower per query.
+        plan = plan_query(20_000, 3, num_queries=10, num_skyline=540, num_unique_skyline=517)
+        assert plan.method == "transform"
+        ratio = plan.estimate_for("cutting").total(10) / plan.expected_cost
+        assert ratio > 10
 
     def test_huge_measured_skyline_disables_index_choice(self):
         # When every point is a skyline point (worst case), the u^2 pair
@@ -143,8 +167,28 @@ class TestPlanQuery:
     def test_substrates_recorded(self):
         plan = plan_query(50_000, 4, method="auto", num_queries=1)
         assert plan.skyline_method == "divide_conquer"
-        # The corner-score space has 2^(d-1) = 8 columns -> block-SFS.
+        # The corner-score substrate is chosen for the ~211 estimated
+        # skyline rows in 2^(d-1) = 8 columns: block-SFS measures fastest.
         assert plan.mapped_skyline_method == "sfs"
+
+    def test_mapped_substrate_follows_the_skyline_rows(self):
+        # One distinct skyline row: the cheapest call, not the n-based pick.
+        many = plan_query(50_000, 3, num_skyline=500, num_unique_skyline=500)
+        one = plan_query(50_000, 3, num_skyline=500, num_unique_skyline=1)
+        assert many.mapped_skyline_method == plan.choose_mapped_skyline_method(500, 4)
+        assert one.mapped_skyline_method == plan.choose_mapped_skyline_method(1, 4)
+        assert (
+            one.estimate_for("transform").per_query
+            < many.estimate_for("transform").per_query
+        )
+
+    @pytest.mark.parametrize("bad", ["5", 2.5, True, None, 0, -3])
+    def test_num_queries_must_be_a_positive_integer(self, bad):
+        with pytest.raises(InvalidPlanInputError):
+            plan_query(1000, 3, num_queries=bad)
+
+    def test_numpy_integer_num_queries_accepted(self):
+        assert plan_query(1000, 3, num_queries=np.int64(7)).num_queries == 7
 
     def test_estimate_for_unknown_method_raises(self):
         plan = plan_query(100, 3)
@@ -171,6 +215,13 @@ class TestExplain:
     def test_explain_singular_query(self):
         text = plan_query(100, 2, num_queries=1).explain()
         assert "1 ratio-range query" in text
+
+    def test_explain_prints_predicted_milliseconds(self):
+        plan = plan_query(20_000, 3, num_queries=10, num_skyline=540)
+        text = plan.explain()
+        assert "predicted cost (ms" in text
+        expected = f"{1e3 * plan.estimate_for('transform').total(10):.4g}"
+        assert expected in text
 
 
 class TestBackendCalibration:

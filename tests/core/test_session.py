@@ -7,9 +7,15 @@ import pytest
 
 from repro.core.query import EclipseQuery
 from repro.core.session import DatasetSession, index_cache_key
+from repro.core.transform import eclipse_transform_indices
 from repro.core.weights import RatioVector
 from repro.data.generators import generate_dataset
-from repro.errors import AlgorithmNotSupportedError, InvalidWeightRangeError
+from repro.errors import (
+    AlgorithmNotSupportedError,
+    InvalidPlanInputError,
+    InvalidWeightRangeError,
+    ReproError,
+)
 
 
 def random_ratio_specs(rng, count, dimensions):
@@ -193,11 +199,12 @@ class TestBatchSharedWork:
         assert calls["single"] == 0
         assert session.stats.queries == 10
 
-    def test_auto_index_batch_falls_back_on_degenerate_data(self):
+    def test_auto_index_batch_falls_back_on_degenerate_data(self, force_auto_index):
         # Collinear points: every intersection hyperplane is a coincident
         # duplicate, so tree index builds raise DegenerateHyperplaneError.
-        # An auto batch must transparently fall back to the transformation;
-        # an explicitly pinned index method must surface the error.
+        # An auto batch whose plan picks an index must transparently fall
+        # back to the transformation; an explicitly pinned index method
+        # must surface the error.
         from repro.errors import DegenerateHyperplaneError
 
         t = np.arange(40, dtype=float)
@@ -205,21 +212,26 @@ class TestBatchSharedWork:
         specs = [RatioVector.uniform(0.4, 2.2, 3), RatioVector.uniform(0.7, 1.6, 3)]
 
         session = DatasetSession(data)
+        force_auto_index(session)
         plan = session.plan(method="auto", num_queries=len(specs))
-        if plan.uses_index:  # the cost model must actually pick an index
-            results = session.run_batch(specs, method="auto")
-            expected = DatasetSession(data).run_batch(specs, method="transform")
-            for got, want in zip(results, expected):
-                assert np.array_equal(got.indices, want.indices)
-                assert got.method == "transform"
-            # last_plan reflects what actually ran, not the doomed index.
-            assert session.last_plan.method == "transform"
-            assert session.stats.index_builds == 0
-            # The failed configuration is memoised: a second batch must not
-            # re-attempt the build, and index_for fails instantly.
-            session.run_batch(specs, method="auto")
-            with pytest.raises(DegenerateHyperplaneError):
-                session.index_for(plan.index_backend or "cutting")
+        assert plan.uses_index
+        results = session.run_batch(specs, method="auto")
+        expected = DatasetSession(data).run_batch(specs, method="transform")
+        for got, want in zip(results, expected):
+            assert np.array_equal(got.indices, want.indices)
+            assert got.method == "transform"
+        # last_plan reflects what actually ran, not the doomed index.
+        assert session.last_plan.method == "transform"
+        assert session.stats.index_builds == 0
+        # The failed configuration is memoised: a second batch must not
+        # re-attempt the build, and index_for fails instantly.
+        failures = len(session._degenerate_index_keys)
+        assert failures == 1
+        session.run_batch(specs, method="auto")
+        assert len(session._degenerate_index_keys) == failures
+        assert session.last_plan.method == "transform"
+        with pytest.raises(DegenerateHyperplaneError):
+            session.index_for(plan.index_backend)
         with pytest.raises(DegenerateHyperplaneError):
             DatasetSession(data).run_batch(specs, method="cutting")
 
@@ -281,6 +293,118 @@ class TestBatchSharedWork:
         assert session.last_plan is not None
         assert session.last_plan.num_queries == 30
         assert session.last_plan.num_skyline == int(session.skyline().size)
+
+    def test_batch_transform_runs_the_planned_substrate(self, monkeypatch):
+        import repro.core.session as session_module
+
+        data = generate_dataset("anti", 2_000, 3, seed=4)
+        session = DatasetSession(data)
+        specs = random_ratio_specs(np.random.default_rng(2), 6, 3)
+        seen = []
+        real = session_module._skyline_indices
+
+        def spy(points, method="auto", **kwargs):
+            seen.append(method)
+            return real(points, method=method, **kwargs)
+
+        session.skyline()
+        monkeypatch.setattr(session_module, "_skyline_indices", spy)
+        session.run_batch(specs, method="transform")
+        assert seen == [session.last_plan.mapped_skyline_method] * len(specs)
+
+
+class TestDuplicateSkylineRows:
+    """The batched transformation maps each distinct skyline row once."""
+
+    def test_corr_all_origin_skyline_byte_parity(self):
+        # CORR clips at the origin: every skyline row is the same point.
+        data = generate_dataset("CORR", 5_000, 3, seed=1000)
+        specs = random_ratio_specs(np.random.default_rng(5), 8, 3)
+        session = DatasetSession(data)
+        results = session.run_batch(specs, method="auto")
+        sky = session.skyline()
+        assert sky.size > 1
+        assert session.last_plan.num_unique_skyline == 1
+        assert session.last_plan.method == "transform"
+        for spec, result in zip(specs, results):
+            # Every copy of the shared row survives, exactly as in the
+            # uncollapsed transformation over the whole dataset.
+            want = np.sort(eclipse_transform_indices(data, spec))
+            assert np.array_equal(result.indices, want)
+            assert np.array_equal(result.indices, np.sort(sky))
+        for method in ("cutting", "quadtree", "baseline"):
+            for got, want in zip(
+                DatasetSession(data).run_batch(specs, method=method), results
+            ):
+                assert np.array_equal(got.indices, want.indices)
+
+    @pytest.mark.parametrize("dims", [2, 3, 4])
+    def test_partial_duplicates_byte_parity(self, dims):
+        base = generate_dataset("ANTI", 300, dims, seed=dims)
+        rng = np.random.default_rng(dims)
+        data = np.vstack([base, base[rng.choice(300, 120)], base[:5], base[:5]])
+        specs = random_ratio_specs(rng, 6, dims)
+        session = DatasetSession(data)
+        results = session.run_batch(specs, method="transform")
+        plan = session.last_plan
+        assert plan.num_unique_skyline < plan.num_skyline
+        for spec, result in zip(specs, results):
+            assert np.array_equal(
+                result.indices, np.sort(eclipse_transform_indices(data, spec))
+            )
+        for got, want in zip(
+            DatasetSession(data).run_batch(specs, method="cutting"), results
+        ):
+            assert np.array_equal(got.indices, want.indices)
+
+    def test_unique_rows_follow_updates(self):
+        data = generate_dataset("CORR", 2_000, 3, seed=3)
+        specs = random_ratio_specs(np.random.default_rng(1), 4, 3)
+        session = DatasetSession(data)
+        session.run_batch(specs)
+        assert session.last_plan.num_unique_skyline == 1
+        # Two distinct new skyline rows below nothing else.
+        session.apply_updates(inserts=np.array([[0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]]))
+        results = session.run_batch(specs)
+        assert session.last_plan.num_unique_skyline == 2
+        fresh = DatasetSession(session.data.copy()).run_batch(specs, method="baseline")
+        for got, want in zip(results, fresh):
+            assert np.array_equal(got.indices, want.indices)
+
+
+class TestPlanInputValidation:
+    """Malformed planner inputs fail with a ReproError before any planning."""
+
+    @pytest.fixture
+    def session(self):
+        return DatasetSession(generate_dataset("inde", 200, 3, seed=1))
+
+    def test_unhashable_method_is_rejected(self, session):
+        with pytest.raises(AlgorithmNotSupportedError):
+            session.plan(method=["auto"])
+        with pytest.raises(AlgorithmNotSupportedError):
+            session.run_batch([(0.5, 2.0)], method=["auto"])
+
+    @pytest.mark.parametrize("bad", ["5", 2.0, True, None])
+    def test_non_integer_num_queries_is_rejected(self, session, bad):
+        with pytest.raises(InvalidPlanInputError):
+            session.plan(num_queries=bad)
+
+    @pytest.mark.parametrize("bad", [0, -3, np.int64(-1)])
+    def test_num_queries_below_one_is_rejected(self, session, bad):
+        with pytest.raises(InvalidPlanInputError):
+            session.plan(num_queries=bad)
+
+    def test_errors_are_repro_errors(self, session):
+        with pytest.raises(ReproError):
+            session.plan(num_queries=-3)
+
+    def test_aliases_share_one_memo_entry(self, session):
+        session.skyline()
+        first = session.plan(method="cut", num_queries=np.int64(4))
+        again = session.plan(method="CUTTING", num_queries=4)
+        assert first is again
+        assert first.num_queries == 4
 
 
 class TestFacadeShim:

@@ -9,10 +9,12 @@ by ``min_cost_improvement``, benefit-per-byte eviction, and an
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.plan import plan_query
+from repro.core.plan import CostEstimate, plan_query
 from repro.data.generators import generate_dataset
 from repro.index.eclipse_index import EclipseIndex
 from repro.perf.advisor import (
@@ -113,6 +115,21 @@ class TestWhatIfCostModel:
         assert model.cost_requests == 3
         assert model.cache_hits == 1
 
+    def test_unique_skyline_count_is_part_of_the_key(self):
+        model = WhatIfCostModel()
+        first = model.plan_query(
+            50_000, 3, num_queries=8, num_skyline=248, num_unique_skyline=248
+        )
+        collapsed = model.plan_query(
+            50_000, 3, num_queries=8, num_skyline=248, num_unique_skyline=1
+        )
+        assert model.cache_hits == 0
+        assert collapsed.num_unique_skyline == 1
+        assert (
+            collapsed.estimate_for("transform").per_query
+            < first.estimate_for("transform").per_query
+        )
+
     def test_matches_unmemoised_planner(self):
         model = WhatIfCostModel()
         got = model.plan_query(5000, 4, num_queries=16, num_skyline=900, threads=2)
@@ -161,6 +178,19 @@ class TestEvictionPolicy:
         assert len(evicted) == 2  # down to 3 * FAILURE_ENTRY_BYTES
         assert advisor.bytes_resident == FAILURE_ENTRY_BYTES * 3
 
+    def test_failures_go_before_indexes_that_saved_work(self, monkeypatch):
+        # Benefits are planner seconds: a failure's nominal credit must sit
+        # far below any index whose build the planner priced (here 1 ms).
+        monkeypatch.delenv("REPRO_INDEX_BUDGET_MB", raising=False)
+        advisor = IndexAdvisor(budget_bytes=600 + FAILURE_ENTRY_BYTES)
+        advisor.on_built(("index",), 600, build_cost=1e-3)
+        advisor.on_failure(("doomed",))
+        advisor.on_failure(("doomed-again",))
+        evicted = advisor.enforce({("index",): 600})
+        assert ("index",) not in evicted
+        assert len(evicted) == 1
+        assert advisor.bytes_resident == 600 + FAILURE_ENTRY_BYTES
+
     def test_recency_breaks_benefit_ties(self, monkeypatch):
         monkeypatch.delenv("REPRO_INDEX_BUDGET_MB", raising=False)
         advisor = IndexAdvisor(budget_bytes=1000)
@@ -173,15 +203,20 @@ class TestEvictionPolicy:
 
 class TestAdmission:
     def _plan(self, num_queries):
-        # A shape where batches clearly favour an index build.
-        return plan_query(20_000, 3, num_queries=num_queries, num_skyline=500)
+        # A pinned index plan: admission is asked about this build whatever
+        # the cost model would pick for the shape.
+        return plan_query(
+            20_000, 3, method="cutting", num_queries=num_queries, num_skyline=500
+        )
 
     def test_plan_improvement_helpers(self):
         plan = self._plan(64)
         assert plan.uses_index
         best = plan.best_alternative_cost()
         index_total = plan.estimate_for(plan.method).total(plan.num_queries)
-        assert best > index_total  # the planner chose the index for a reason
+        assert best == min(
+            plan.estimate_for(m).total(64) for m in ("baseline", "transform")
+        )
         assert plan.index_improvement_ratio() == pytest.approx(best / index_total)
         single = plan_query(200, 3, num_queries=1)
         assert not single.uses_index
@@ -198,7 +233,7 @@ class TestAdmission:
         advisor = IndexAdvisor(budget_bytes=1024)  # far below any projection
         plan = self._plan(64)
         assert plan.uses_index
-        assert not advisor.should_build(plan)
+        assert not advisor.should_build(plan, pinned=True)
         assert advisor.builds_skipped == 1
 
     def test_fitting_projection_is_admitted(self, monkeypatch):
@@ -206,19 +241,30 @@ class TestAdmission:
         advisor = IndexAdvisor(budget_bytes=512 * 1024 * 1024)
         plan = self._plan(64)
         assert plan.uses_index
-        assert advisor.should_build(plan)
+        assert advisor.should_build(plan, pinned=True)
 
     def test_strong_residents_are_not_displaced(self, monkeypatch):
         monkeypatch.delenv("REPRO_INDEX_BUDGET_MB", raising=False)
-        plan = self._plan(64)
+        # The newcomer must project a saving to outbid anyone: price its
+        # index at a tenth of the best index-free method.
+        pinned = self._plan(64)
+        cheap = CostEstimate("cutting", 0.0, pinned.best_alternative_cost() / 640)
+        plan = dataclasses.replace(
+            pinned,
+            estimates=tuple(
+                cheap if e.method == "cutting" else e for e in pinned.estimates
+            ),
+        )
         need = estimate_index_nbytes(500, 3)
         advisor = IndexAdvisor(budget_bytes=need + 100)
         # A resident earning far more per byte than the newcomer projects.
         advisor.credit(("hot",), 1e18, nbytes=need)
         advisor.enforce({("hot",): need})
-        assert not advisor.should_build(plan)
+        assert not advisor.should_build(plan, pinned=True)
         # A worthless resident is displaceable: admission succeeds.
         weak = IndexAdvisor(budget_bytes=need + 100)
         weak.credit(("cold",), 0.0, nbytes=need)
         weak.enforce({("cold",): need})
-        assert weak.should_build(plan)
+        assert weak.should_build(plan, pinned=True)
+        # Without a projected saving nothing is worth displacing for.
+        assert not weak.should_build(pinned, pinned=True)
