@@ -17,6 +17,13 @@ into ``CALIBRATION`` in ``src/repro/core/plan.py``; ``tests/core/
 test_plan_calibration.py`` checks that the two agree and that ``auto``
 stays within 1.5x of the best measured arm on every row.
 
+Every timed quantity is the median of several runs, not the fastest one,
+and the batch arms of a cell are timed in interleaved rounds (one batch of
+each arm per round), so a host that slows down for a few seconds slows all
+arms of the cell alike instead of misranking them.  Each arm also records
+``query_spread``: (max - min) / median of its rounds.  Index builds are timed
+on ``BUILD_REPEATS`` fresh sessions.
+
 Run single-threaded on an idle host::
 
     PYTHONPATH=src python benchmarks/calibrate_plan.py [--output PATH]
@@ -60,9 +67,12 @@ FAMILIES = ("ANTI", "INDE", "CORR")
 DIMS = (2, 3, 4)
 SIZES = (5_000, 20_000, 50_000)
 NUM_QUERIES = 50
-REPEATS = 3
-#: Index arms run for seconds per pass on the larger cells: fewer repeats.
-INDEX_REPEATS = 2
+#: Timed runs per quantity (and interleaved rounds of the batch arms).
+REPEATS = 5
+#: Index layers run for seconds per pass on the larger cells: fewer repeats.
+INDEX_REPEATS = 3
+#: Fresh-session builds timed per index arm.
+BUILD_REPEATS = 3
 SEED = 1000
 #: Index arms above this many intersection pairs are not run.
 MAX_INDEX_PAIRS = 300_000
@@ -80,14 +90,16 @@ def ratio_specs(rng: np.random.Generator, count: int, dims: int) -> List[list]:
     return specs
 
 
-def best_of(fn, repeats: int = REPEATS) -> float:
-    """Minimum wall time of ``repeats`` calls of ``fn`` (seconds)."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+def timed(fn) -> float:
+    """Wall time of one call of ``fn`` (seconds)."""
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def median_of(fn, repeats: int = REPEATS) -> float:
+    """Median wall time of ``repeats`` calls of ``fn`` (seconds)."""
+    return float(np.median([timed(fn) for _ in range(repeats)]))
 
 
 def same_answers(got, want, what: str) -> None:
@@ -112,19 +124,15 @@ def measure_cell(family: str, d: int, n: int) -> Dict[str, object]:
     arms: Dict[str, Dict[str, object]] = row["arms"]
     layers: Dict[str, object] = row["layers"]
 
-    # -- transformation arm, end to end and by layer ----------------------
+    # -- transformation arm, by layer --------------------------------------
     session.run_batch(specs, method="transform")
     want = [r.indices for r in session.run_batch(specs, method="transform")]
-    seconds = best_of(lambda: session.run_batch(specs, method="transform"))
-    arms["transform"] = {
-        "build_ms": 0.0,
-        "query_ms": 1e3 * seconds / NUM_QUERIES,
-        "substrate": session.last_plan.mapped_skyline_method,
-    }
+    arms["transform"] = {"build_ms": 0.0, "substrate": session.last_plan.mapped_skyline_method}
+    batches = {"transform": lambda: session.run_batch(specs, method="transform")}
 
     vectors = [make_ratio_vector(spec, d) for spec in specs]
     all_corners = np.vstack([rv.corner_weight_vectors() for rv in vectors])
-    layers["gemm_ms"] = 1e3 * best_of(lambda: parallel_matmul(unique_points, all_corners.T)) / NUM_QUERIES
+    layers["gemm_ms"] = 1e3 * median_of(lambda: parallel_matmul(unique_points, all_corners.T)) / NUM_QUERIES
     scores = parallel_matmul(unique_points, all_corners.T)
     blocks = [scores[:, i * corners:(i + 1) * corners] for i in range(NUM_QUERIES)]
     substrates = ("sweep2d", "sfs", "divide_conquer") if corners == 2 else ("sfs", "divide_conquer")
@@ -135,12 +143,12 @@ def measure_cell(family: str, d: int, n: int) -> Dict[str, object]:
         if reference is None:
             reference = answers
         same_answers(answers, reference, f"mapped skyline {substrate}")
-        mapped[substrate] = 1e3 * best_of(
+        mapped[substrate] = 1e3 * median_of(
             lambda s=substrate: [skyline_indices(b, method=s) for b in blocks]
         ) / NUM_QUERIES
     layers["mapped_skyline_ms"] = mapped
 
-    # -- index arms --------------------------------------------------------
+    # -- index arms: builds and layers ---------------------------------------
     for backend in P.INDEX_METHODS:
         if pairs > MAX_INDEX_PAIRS:
             arms[backend] = {"skipped": f"{pairs} pairs > {MAX_INDEX_PAIRS}"}
@@ -151,17 +159,21 @@ def measure_cell(family: str, d: int, n: int) -> Dict[str, object]:
         except DegenerateHyperplaneError as exc:
             arms[backend] = {"skipped": f"degenerate: {exc}"[:120]}
             continue
-        build = time.perf_counter() - start
+        builds = [time.perf_counter() - start]
+        for _ in range(BUILD_REPEATS - 1):
+            fresh = DatasetSession(data)
+            fresh.skyline()
+            builds.append(timed(lambda b=backend: fresh.index_for(b)))
         same_answers([r.indices for r in session.run_batch(specs, method=backend)], want, backend)
-        seconds = best_of(lambda b=backend: session.run_batch(specs, method=b), INDEX_REPEATS)
+        batches[backend] = lambda b=backend: session.run_batch(specs, method=b)
         boxes = [index._query_box(rv) for rv in vectors]
         order = index.order_vector_index
         inter = index.intersection_index
-        ov = best_of(lambda: order.initial_states(boxes), INDEX_REPEATS)
-        probe = best_of(lambda: inter.candidates_many(boxes), INDEX_REPEATS)
+        ov = median_of(lambda: order.initial_states(boxes), INDEX_REPEATS)
+        probe = median_of(lambda: inter.candidates_many(boxes), INDEX_REPEATS)
         candidates = sum(len(c) for c in inter.candidates_many(boxes))
-        many = best_of(lambda: index.query_indices_many(vectors), INDEX_REPEATS)
-        arms[backend] = {"build_ms": 1e3 * build, "query_ms": 1e3 * seconds / NUM_QUERIES}
+        many = median_of(lambda: index.query_indices_many(vectors), INDEX_REPEATS)
+        arms[backend] = {"build_ms": 1e3 * float(np.median(builds))}
         layers[backend] = {
             "order_vector_ms": 1e3 * ov / NUM_QUERIES,
             "probe_ms": 1e3 * probe / NUM_QUERIES,
@@ -169,11 +181,21 @@ def measure_cell(family: str, d: int, n: int) -> Dict[str, object]:
             "candidates_per_query": candidates / NUM_QUERIES,
         }
 
+    # -- batch arms end to end, in interleaved rounds ------------------------
+    rounds: Dict[str, List[float]] = {arm: [] for arm in batches}
+    for _ in range(REPEATS):
+        for arm, batch in batches.items():
+            rounds[arm].append(timed(batch))
+    for arm, times in rounds.items():
+        seconds = float(np.median(times))
+        arms[arm]["query_ms"] = 1e3 * seconds / NUM_QUERIES
+        arms[arm]["query_spread"] = (max(times) - min(times)) / seconds
+
     # -- baseline (one query; the arm is per-query and shares nothing) -----
     if n <= MAX_BASELINE_N:
         got = eclipse_baseline_indices(data, vectors[0])
         same_answers([np.sort(got)], want[:1], "baseline")
-        seconds = best_of(lambda: eclipse_baseline_indices(data, vectors[0]), repeats=1)
+        seconds = timed(lambda: eclipse_baseline_indices(data, vectors[0]))
         arms["baseline"] = {"build_ms": 0.0, "query_ms": 1e3 * seconds}
     for arm in arms.values():
         if "query_ms" in arm:
@@ -190,11 +212,17 @@ def fit_linear(features: Sequence[Sequence[float]], ts: Sequence[float], scale=N
     ``features`` holds one ``(f1, ...)`` tuple per measurement.  Least
     squares on the error relative to ``scale`` (default ``t`` itself), so
     small and large cells weigh alike; the most negative coefficient is
-    dropped and the rest refitted until none is negative.
+    dropped and the rest refitted until none is negative.  Measurements
+    whose scale is zero (an index adjustment pass is timed as the
+    difference of two noisy timings and can come out at zero) carry no
+    relative error and are left out.
     """
     t = np.asarray(ts, dtype=float)
-    w = 1.0 / (t if scale is None else np.asarray(scale, dtype=float))
-    design = np.column_stack([np.ones_like(t), np.asarray(features, dtype=float)]) * w[:, None]
+    scale = t if scale is None else np.asarray(scale, dtype=float)
+    kept = scale > 0
+    t, w = t[kept], 1.0 / scale[kept]
+    features = np.asarray(features, dtype=float)[kept]
+    design = np.column_stack([np.ones_like(t), features]) * w[:, None]
     active = list(range(design.shape[1]))
     while True:
         coef = np.zeros(design.shape[1])
@@ -321,7 +349,8 @@ def main(argv=None) -> int:
         payload = {
             "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                      "numpy": np.__version__, "machine": platform.machine()},
-            "num_queries": NUM_QUERIES, "repeats": REPEATS, "seed": SEED,
+            "num_queries": NUM_QUERIES, "repeats": REPEATS, "index_repeats": INDEX_REPEATS,
+            "build_repeats": BUILD_REPEATS, "seed": SEED,
             "rows": rows,
         }
     payload["constants"] = fit(rows)

@@ -1,9 +1,9 @@
-"""Setuptools shim.
+"""Setuptools packaging for the ``repro`` package.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that the package can also be installed in environments without the
-``wheel`` package (legacy ``pip install -e . --no-use-pep517``), such as
-fully offline machines.
+This file is the project's only packaging metadata (there is no
+``pyproject.toml``).  It installs the ``src/repro`` tree and the
+``repro-eclipse`` console script, e.g. ``pip install -e .``; running the
+code in place with ``PYTHONPATH=src`` needs no install at all.
 """
 
 from setuptools import find_packages, setup

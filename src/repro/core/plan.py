@@ -87,46 +87,46 @@ SMALL_N_SFS_CUTOFF = 512
 #:   per-query time (ratio parsing, expanding, sorting and wrapping the
 #:   result), per skyline row: end-to-end minus the measured layers.
 CALIBRATION: Dict[str, object] = {
-    "gemm": [1.18971e-07, 1.567e-10],
+    "gemm": [8.60509e-08, 1.56792e-10],
     "mapped_skyline": {
         "2": {
-            "divide_conquer": [1.73145e-06, 8.67173e-06],
-            "sfs": [2.2744e-05, 7.94218e-06],
-            "sweep2d": [1.45601e-05, 2.13403e-06],
+            "divide_conquer": [8.21782e-07, 7.71051e-06],
+            "sfs": [2.1337e-05, 6.06313e-06],
+            "sweep2d": [8.25068e-06, 2.84064e-06],
         },
         "4": {
-            "divide_conquer": [8.32512e-06, 7.76991e-06],
-            "sfs": [4.22413e-05, 3.97571e-06],
+            "divide_conquer": [4.36863e-06, 4.33277e-06],
+            "sfs": [2.67294e-05, 1.26278e-06],
         },
         "8": {
-            "divide_conquer": [4.26138e-06, 1.16792e-05],
-            "sfs": [4.77808e-05, 2.28414e-06],
+            "divide_conquer": [9.13391e-07, 7.34782e-06],
+            "sfs": [2.54639e-05, 7.94855e-07],
         },
     },
-    "order_vector": [8.66687e-06, 8.04403e-10],
+    "order_vector": [6.16246e-06, 7.61355e-10],
     "probe": {
-        "cutting": [4.53113e-06, 2.07628e-07],
-        "quadtree": [4.45838e-06, 1.97721e-07],
-        "sorted": [3.93783e-06, 4.44738e-08],
+        "cutting": [3.30422e-06, 1.8908e-07],
+        "quadtree": [2.88208e-06, 1.95977e-07],
+        "sorted": [3.40168e-06, 5.05715e-08],
     },
     "adjust": {
-        "cutting": [4.66444e-05, 7.17744e-08],
-        "quadtree": [3.86908e-05, 7.78006e-08],
-        "sorted": [3.07672e-05, 1.3715e-07],
+        "cutting": [2.36719e-05, 7.44967e-08],
+        "quadtree": [2.22336e-05, 5.14655e-08],
+        "sorted": [2.58674e-05, 2.52873e-07],
     },
     "build": {
-        "cutting": [0.000696151, 5.50301e-08, 2.19334e-07],
-        "quadtree": [0.000795933, 5.9197e-08, 5.50006e-06],
-        "sorted": [0.000779521, 5.61859e-08, 1.1467e-05],
+        "cutting": [0.000451494, 3.56211e-08, 2.07034e-07],
+        "quadtree": [0.000465323, 3.72768e-08, 4.32497e-06],
+        "sorted": [0.000488654, 5.53558e-08, 1.37761e-05],
     },
     "candidate_share": {
         "cutting": 0.762146,
         "quadtree": 0.762146,
         "sorted": 0.5825,
     },
-    "baseline": [0.0110815, 4.59251e-11],
-    "transform_query": [3.21857e-05, 6.65222e-08],
-    "index_query": [2.5841e-05, 1.12829e-08],
+    "baseline": [0.00287978, 1.52688e-11],
+    "transform_query": [2.91294e-05, 8.96312e-09],
+    "index_query": [1.64261e-05, 7.90983e-09],
 }
 
 # The update arm (:func:`plan_update`) compares the in-place maintenance of

@@ -82,10 +82,17 @@ class EclipseResult:
         The ratio vector actually used.
     """
 
+    # Callers hold results by the thousand: no per-instance dict.
+    __slots__ = ("indices", "points", "method", "ratios")
+
     indices: IndexArray
     points: np.ndarray
     method: str
     ratios: RatioVector
+
+    def __reduce__(self):
+        # Frozen and slotted: unpickle through the constructor.
+        return (EclipseResult, (self.indices, self.points, self.method, self.ratios))
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -1138,10 +1145,11 @@ class DatasetSession:
                 start = position * corners_per_spec
                 mapped = corner_matrix[:, start : start + corners_per_spec]
                 local = _skyline_indices(mapped, method=plan.mapped_skyline_method)
-                # Re-expand: every copy of a surviving row survives.
+                # Re-expand: every copy of a surviving row survives.  A
+                # boolean gather keeps the ascending order of ``sky``.
                 in_skyline[:] = False
                 in_skyline[local] = True
-                indices = np.sort(sky[in_skyline[inverse]])
+                indices = sky[in_skyline[inverse]]
                 self.stats.queries += 1
                 results.append(self._wrap(indices, "transform", ratio_vector))
         return results

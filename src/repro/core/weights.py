@@ -77,8 +77,15 @@ class WeightRange:
     dimension; ``[0, RATIO_INFINITY]`` recovers skyline semantics.
     """
 
+    # Every ratio vector holds d - 1 of these: no per-instance dict.
+    __slots__ = ("low", "high")
+
     low: float
     high: float
+
+    def __reduce__(self):
+        # Frozen and slotted: unpickle through the constructor.
+        return (WeightRange, (self.low, self.high))
 
     def __post_init__(self) -> None:
         low = float(self.low)
@@ -148,6 +155,8 @@ class RatioVector:
     * :meth:`selected_domination_vectors` — the ``d`` carefully chosen rows of
       the corner matrix used by the transformation algorithm (Theorem 6).
     """
+
+    __slots__ = ("_ranges",)
 
     def __init__(self, ranges: Sequence[WeightRange]):
         ranges = list(ranges)

@@ -38,6 +38,7 @@ from repro.skyline.kernels import (
     dominated_mask,
     dominates_matrix,
     monotone_sort_order,
+    self_dominated_mask,
 )
 from repro.skyline.incremental import (
     SkylineDelta,
@@ -88,6 +89,7 @@ __all__ = [
     "dominates_matrix",
     "block_sfs_indices",
     "monotone_sort_order",
+    "self_dominated_mask",
     "SkylineDelta",
     "delete_update",
     "insert_update",

@@ -9,10 +9,10 @@ where the window stays tiny.
 True to its name, this implementation is *block*-oriented: the window is a
 contiguous ``(m, d)`` array (:class:`repro.perf.blocking.GrowableBuffer`)
 and incoming points are processed in blocks — one broadcast kernel call
-screens the whole block against the window, a pairwise kernel call resolves
-dominance inside the block, and a third evicts window members dominated by
-the block's survivors.  The surviving window is the skyline, so the output
-is identical to the classic per-point formulation.
+screens the whole block against the window, the self-screen kernel
+resolves dominance inside the block, and a third call evicts window
+members dominated by the block's survivors.  The surviving window is the
+skyline, so the output is identical to the classic per-point formulation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from repro._types import ArrayLike2D, IndexArray
 from repro.core.dominance import as_dataset
 from repro.perf.blocking import DEFAULT_BLOCK_SIZE, GrowableBuffer, iter_blocks
-from repro.skyline.kernels import dominated_mask
+from repro.skyline.kernels import dominated_mask, self_dominated_mask
 
 
 def skyline_bnl_indices(
@@ -58,12 +58,8 @@ def skyline_bnl_indices(
         survivor_idx = np.arange(start, stop, dtype=np.intp)[keep]
         survivor_sums = block_sums[keep]
         if survivors.shape[0] > 1:
-            # 2. Resolve dominance inside the block.  Transitivity makes it
-            #    safe for a dominated survivor to act as a dominator here.
-            intra = dominated_mask(
-                survivors, survivors, cand_sums=survivor_sums, dom_sums=survivor_sums
-            )
-            keep = ~intra
+            # 2. Resolve dominance inside the block.
+            keep = ~self_dominated_mask(survivors, sums=survivor_sums)
             survivors = survivors[keep]
             survivor_idx = survivor_idx[keep]
             survivor_sums = survivor_sums[keep]

@@ -9,17 +9,19 @@ without paying a full ``O(n · u)`` recompute per batch:
 * **insert** — one :func:`~repro.skyline.kernels.dominated_mask` pass of the
   new points against the current skyline screens out dominated arrivals
   (dominance is transitive, so screening against the skyline alone is
-  exact); an intra-batch pass resolves dominance among the survivors; a
-  final pass demotes current skyline points dominated by a surviving
-  arrival into the dominated buffer.
+  exact); an intra-batch self-screen
+  (:func:`~repro.skyline.kernels.self_dominated_mask`) resolves dominance
+  among the survivors; a final pass demotes current skyline points
+  dominated by a surviving arrival into the dominated buffer.
 * **delete** — removing a *dominated* point never changes anyone else's
   status, so only deleted skyline points trigger work: the points they used
   to shadow (the members of the dominated buffer they dominate) are the
   only possible promotions.  One kernel pass computes that shadow, a second
-  screens it against the surviving skyline, and an intra-shadow pass
-  resolves chains (``s ≻ y ≻ x``: deleting ``s`` promotes ``y`` but not
-  ``x``).  The cost is proportional to the buffer size times the number of
-  *deleted skyline* points — localized, instead of the full recompute.
+  screens it against the surviving skyline, and an intra-shadow
+  self-screen resolves chains (``s ≻ y ≻ x``: deleting ``s`` promotes
+  ``y`` but not ``x``).  The cost is proportional to the buffer size times
+  the number of *deleted skyline* points — localized, instead of the full
+  recompute.
 
 The "dominated buffer" is the complement partition: every point is either a
 skyline point or buffered, and the functions below move points between the
@@ -37,7 +39,7 @@ import numpy as np
 
 from repro._types import IndexArray
 from repro.errors import DimensionMismatchError, InvalidDatasetError
-from repro.skyline.kernels import dominated_mask
+from repro.skyline.kernels import dominated_mask, self_dominated_mask
 
 
 @dataclass(frozen=True)
@@ -168,9 +170,7 @@ def delete_update(
     candidates = candidates[survivors_mask]
     candidate_points = candidate_points[survivors_mask]
     if candidates.size > 1:
-        intra = dominated_mask(
-            candidate_points, candidate_points, memory_cap=memory_cap
-        )
+        intra = self_dominated_mask(candidate_points, memory_cap=memory_cap)
         candidates = candidates[~intra]
     kept_sky[candidates] = True
     return kept_sky, candidates
@@ -211,9 +211,7 @@ def insert_update(
     )
     surviving = np.flatnonzero(~screened)
     if surviving.size > 1:
-        intra = dominated_mask(
-            new_points[surviving], new_points[surviving], memory_cap=memory_cap
-        )
+        intra = self_dominated_mask(new_points[surviving], memory_cap=memory_cap)
         surviving = surviving[~intra]
     added = base + surviving
     out[added] = True

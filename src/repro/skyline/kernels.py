@@ -17,12 +17,37 @@ Kernels provided:
 * :func:`dominates_matrix` — the full ``(m, k)`` pairwise dominance matrix,
   chunked over candidate rows (used by
   :func:`repro.core.dominance.eclipse_dominance_matrix`).
+* :func:`self_dominated_mask` — the self-screen: which rows of one set are
+  dominated by another row of the same set.  It replaces the quadratic
+  ``dominated_mask(rows, rows)`` of every intra-set pass (block-SFS,
+  block-BNL, incremental inserts and delete promotions).
 * :func:`block_sfs_indices` — block sort-filter-skyline: presort by a
   monotone key, then screen candidates in blocks against the confirmed
-  skyline matrix, resolving intra-block dominance with the same kernel.
+  skyline matrix, resolving intra-block dominance with the self-screen.
 * :func:`monotone_sort_order` — the shared presort (key sum with a
   lexicographic tie-break) that makes the one-directional screening of
-  block-SFS and the baseline's prefix filter valid.
+  block-SFS, the self-screen and the baseline's prefix filter valid.
+
+The self-screen is output-sensitive.  Its precondition is the monotone
+sort order: after :func:`monotone_sort_order` a row can only be dominated
+by an earlier row (callers holding a subset of sorted rows say so with
+``presorted=True``; the others get sorted).  It then walks the pending
+rows in :data:`_DOMINATOR_CHUNK` slices: one :func:`dominated_mask` call
+screens the slice and every later pending row against the slice, the
+victims leave the candidates *and* every later slice, and the slice's
+survivors are final.  Using dominated rows as dominators would be wasted
+work, and dropping them is exact by transitivity: a dropped row's victims
+are also dominated by some skyline row, which sorts before them, is never
+dropped, and screens them in its own slice.  The pairs screened therefore
+track the answer size instead of the square of the input: on the
+mapped-space skylines of the batched transformation (540 rows, ~30
+answers) they fall ~10x.  Each slice goes through :func:`dominated_mask`,
+so the thread and process backends and the memory cap apply unchanged.
+
+The comparisons build the ``(B, k)`` ``<=`` matrix one column at a time
+(``&=`` per column) rather than reducing a ``(B, k, d)`` broadcast with
+``.all(axis=2)``: a reduction over a 2-8 wide axis costs several times
+more than ``d`` flat compares.
 """
 
 from __future__ import annotations
@@ -49,12 +74,17 @@ from repro.perf.executor import (
 )
 
 
-#: Dominator rows compared against a candidate block per kernel step.  Kept
-#: deliberately small: dominators are usually supplied strongest-first (sum
-#: order), so the first chunk eliminates the bulk of the candidates and the
-#: compression step drops them before the remaining chunks run — measured
-#: 5-10x faster end-to-end than chunk sizes in the hundreds, on sorted and
-#: unsorted dominator sets alike.
+#: Dominator rows compared against a candidate block per kernel step, and
+#: the slice width of :func:`self_dominated_mask`.  Kept deliberately small:
+#: dominators are usually supplied strongest-first (sum order), so the first
+#: chunk eliminates the bulk of the candidates and the compression step
+#: drops them before the remaining chunks run.  Re-measured with the
+#: self-screen (2-vCPU x86-64, serial): the mapped-space skyline of the
+#: batched transformation takes 0.42 ms/spec at 32 vs 0.53 at 16 and
+#: 0.65-0.67 at 64-128 (ANTI n=20k d=3, 441 distinct skyline rows), and
+#: 1.74 vs 1.94 / 1.79 / 2.35 ms at ANTI n=20k d=4 (2644 rows).  Raw-space
+#: block-SFS would prefer 64-128 (45 -> 35-38 ms at ANTI n=20k d=3), but
+#: the mapped skyline is the hot path.
 _DOMINATOR_CHUNK = 32
 
 #: Upper bound on the candidate rows per kernel step.  When the dominator
@@ -62,6 +92,24 @@ _DOMINATOR_CHUNK = 32
 #: keeps the scratch allocation bounded without degenerating into the tiny
 #: fixed blocks that made many-call overhead dominate.
 _CANDIDATE_BLOCK = 16384
+
+
+def _le_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a <= b).all(axis=-1)`` for broadcastable ``(..., d)`` views, one
+    column at a time."""
+    le = a[..., 0] <= b[..., 0]
+    for j in range(1, a.shape[-1]):
+        le &= a[..., j] <= b[..., j]
+    return le
+
+
+def _dominates_rows(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """``out[i, j]`` iff ``rows[i]`` dominates ``others[j]``."""
+    a, b = rows[:, None, :], others[None, :, :]
+    lt = a[..., 0] < b[..., 0]
+    for j in range(1, a.shape[-1]):
+        lt |= a[..., j] < b[..., j]
+    return _le_columns(a, b) & lt
 
 
 def _screen_block_exact(
@@ -84,7 +132,7 @@ def _screen_block_exact(
     for dstart, dstop in iter_blocks(k, _DOMINATOR_CHUNK):
         dom = dominators[dstart:dstop]
         dsums = dom_sums[dstart:dstop]
-        le = (dom[None, :, :] <= cand[:, None, :]).all(axis=2)
+        le = _le_columns(dom[None, :, :], cand[:, None, :])
         sum_lt = dsums[None, :] < csums[:, None]
         hit = (le & sum_lt).any(axis=1)
         # Rounding rescue: a dominator that is <= everywhere but whose
@@ -326,11 +374,9 @@ def dominated_mask(
 
 def _dominates_chunk_shm(arrays, start: int, stop: int) -> None:
     """Process-backend row chunk of :func:`dominates_matrix` (same split)."""
-    chunk = arrays["rows"][start:stop, None, :]
-    others = arrays["others"]
-    le = (chunk <= others[None, :, :]).all(axis=2)
-    lt = (chunk < others[None, :, :]).any(axis=2)
-    arrays["out"][start:stop] = le & lt
+    arrays["out"][start:stop] = _dominates_rows(
+        arrays["rows"][start:stop], arrays["others"]
+    )
 
 
 def dominates_matrix(
@@ -360,10 +406,7 @@ def dominates_matrix(
         block = parallel_block_size(m, block, count)
 
     def worker(start: int, stop: int) -> None:
-        chunk = rows[start:stop, None, :]
-        le = (chunk <= others[None, :, :]).all(axis=2)
-        lt = (chunk < others[None, :, :]).any(axis=2)
-        out[start:stop] = le & lt
+        out[start:stop] = _dominates_rows(rows[start:stop], others)
 
     kernel = ShmKernel(
         _dominates_chunk_shm,
@@ -392,8 +435,64 @@ def monotone_sort_order(
     """
     if sums is None:
         sums = data.sum(axis=1)
+    order = np.argsort(sums, kind="stable")
+    ranked = sums[order]
+    if not (ranked[1:] == ranked[:-1]).any():
+        # No computed-sum ties: the tie-break never fires, so the stable
+        # sum order already is the lexicographic one.  The full lexsort
+        # costs ~10x as much on the 540 x 4 mapped skylines of the batched
+        # transformation, where skipping it measured +30% batch throughput
+        # (2-vCPU x86-64).
+        return order
     keys = tuple(data[:, j] for j in range(data.shape[1] - 1, -1, -1)) + (sums,)
     return np.lexsort(keys)
+
+
+def self_dominated_mask(
+    rows: np.ndarray,
+    sums: Optional[np.ndarray] = None,
+    presorted: bool = False,
+    memory_cap: Optional[int] = None,
+    threads: Optional[int] = None,
+    compute_dtype: Optional[str] = None,
+) -> np.ndarray:
+    """Boolean mask over ``rows``: True where another row of ``rows`` dominates.
+
+    Equivalent to ``dominated_mask(rows, rows)``, but dominated rows stop
+    acting as dominators, so the pairs screened follow the answer size (see
+    the module docstring for the argument).  The rows are taken in
+    :func:`monotone_sort_order`; ``presorted=True`` promises they already
+    are, as any subset of sorted rows is.  ``sums`` accepts precomputed row
+    sums.  ``memory_cap`` / ``threads`` / ``compute_dtype`` forward to every
+    :func:`dominated_mask` call.
+    """
+    n = rows.shape[0]
+    mask = np.zeros(n, dtype=bool)
+    if n < 2:
+        return mask
+    if sums is None:
+        sums = rows.sum(axis=1)
+    if presorted:
+        order = np.arange(n)
+    else:
+        order = monotone_sort_order(rows, sums=sums)
+        rows = rows[order]
+        sums = sums[order]
+    pending = np.arange(n)
+    while pending.size > 1:
+        head = pending[:_DOMINATOR_CHUNK]
+        hit = dominated_mask(
+            rows[pending],
+            rows[head],
+            memory_cap=memory_cap,
+            cand_sums=sums[pending],
+            dom_sums=sums[head],
+            threads=threads,
+            compute_dtype=compute_dtype,
+        )
+        mask[order[pending[hit]]] = True
+        pending = pending[head.size :][~hit[head.size :]]
+    return mask
 
 
 def block_sfs_indices(
@@ -407,17 +506,15 @@ def block_sfs_indices(
 
     Sorts by the monotone key, then screens candidates in blocks of
     ``block_size``: one broadcast against the confirmed-skyline matrix
-    eliminates candidates dominated by earlier blocks, and a pairwise
-    kernel call over the survivors resolves intra-block dominance.  The
-    intra-block pass may use dominated survivors as dominators — dominance
-    is transitive, so any point they dominate is also dominated by a
-    confirmed point or survivor, and the result is unchanged.
+    eliminates candidates dominated by earlier blocks, and
+    :func:`self_dominated_mask` over the survivors — still in sort order,
+    so ``presorted=True`` — resolves intra-block dominance.
 
     Duplicates never strictly dominate each other, so all copies survive,
     exactly as in the seed implementations.
 
-    ``threads`` / ``compute_dtype`` forward to the :func:`dominated_mask`
-    calls — the outer block loop stays sequential (each block depends on
+    ``threads`` / ``compute_dtype`` forward to every :func:`dominated_mask`
+    call — the outer block loop stays sequential (each block depends on
     the confirmed window of all earlier ones), so the parallelism lives in
     the per-block screens, whose candidate chunks are independent.
     """
@@ -449,16 +546,14 @@ def block_sfs_indices(
         survivor_idx = order[start:stop][keep]
         survivor_sums = block_sums[keep]
         if survivors.shape[0] > 1:
-            intra = dominated_mask(
+            keep = ~self_dominated_mask(
                 survivors,
-                survivors,
+                sums=survivor_sums,
+                presorted=True,
                 memory_cap=memory_cap,
-                cand_sums=survivor_sums,
-                dom_sums=survivor_sums,
                 threads=threads,
                 compute_dtype=compute_dtype,
             )
-            keep = ~intra
             survivors = survivors[keep]
             survivor_idx = survivor_idx[keep]
             survivor_sums = survivor_sums[keep]

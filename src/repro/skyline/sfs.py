@@ -9,8 +9,12 @@ against confirmed skyline points only.
 This implementation processes the sorted points in blocks
 (:func:`repro.skyline.kernels.block_sfs_indices`): each block is screened
 against the confirmed-skyline matrix in one memory-bounded broadcast, and
-intra-block dominance is resolved by a pairwise kernel call over the block's
-survivors.  The output is identical to the classic one-point-at-a-time SFS.
+intra-block dominance is resolved by the output-sensitive self-screen
+(:func:`repro.skyline.kernels.self_dominated_mask`) over the block's
+survivors, which are already in sort order: a dominated survivor stops
+acting as a dominator, so the pairs screened follow the number of skyline
+rows rather than the square of the block.  The output is identical to the
+classic one-point-at-a-time SFS.
 """
 
 from __future__ import annotations

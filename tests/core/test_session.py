@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,14 @@ class TestSessionBasics:
         second = session.skyline()
         assert first is second
         assert session.stats.skyline_builds == 1
+
+    def test_result_is_slotted_and_picklable(self, hotels):
+        result = DatasetSession(hotels).run(ratios=(0.25, 2.0))
+        assert not hasattr(result, "__dict__")
+        clone = pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        assert np.array_equal(clone.indices, result.indices)
+        assert np.array_equal(clone.points, result.points)
+        assert (clone.method, clone.ratios) == (result.method, result.ratios)
 
     def test_empty_dataset_batch(self):
         session = DatasetSession(np.empty((0, 3)))

@@ -106,6 +106,37 @@ class TestDynamicParityFuzz:
                 )
 
 
+class TestAscendingAnswers:
+    def test_skyline_and_batch_answers_stay_strictly_ascending(self):
+        # The batched transformation re-expands its answers with a boolean
+        # gather over skyline(), so both must stay strictly ascending on
+        # every path that assigns the skyline: the initial build, in-place
+        # maintenance and the recompute after an oversized batch.
+        # Duplicated rows exercise the unique-row re-expansion too.
+        rng = np.random.default_rng(31)
+        data = generate_dataset("anti", 3000, 3, seed=4)
+        data = np.vstack([data, data[:40]])
+        session = DatasetSession(data)
+        specs = random_specs(rng, 5, 3)
+        batches = [(8, 3), (2, 4), (6, 0), (12000, 10), (8, 2)]
+        for step, (num_inserts, num_deletes) in enumerate([(0, 0)] + batches):
+            if num_inserts or num_deletes:
+                inserts = generate_dataset("anti", num_inserts, 3, seed=step)
+                inserts[:2] = session.data[:2]
+                deletes = rng.choice(
+                    session.num_points, size=num_deletes, replace=False
+                )
+                session.apply_updates(inserts=inserts, deletes=deletes)
+            sky = session.skyline()
+            assert np.all(np.diff(sky) > 0), step
+            for method in ("auto", "transform"):
+                for result in session.run_batch(specs, method=method):
+                    assert np.all(np.diff(result.indices) > 0), (step, method)
+                    assert np.isin(result.indices, sky).all()
+        assert session.stats.skyline_inplace_updates >= 1
+        assert session.stats.rebuilds_triggered >= 1
+
+
 class TestSharedSkylineIsolation:
     def test_two_cached_indexes_update_independently(self):
         # Regression: indexes built from the session's memoised skyline must

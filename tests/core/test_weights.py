@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -64,8 +65,26 @@ class TestWeightRange:
         with pytest.raises(InvalidWeightRangeError):
             WeightRange(math.inf, math.inf)
 
+    def test_slotted_and_picklable(self):
+        # Slotted (no per-instance dict) yet frozen, and pickles across
+        # the service's process boundary.
+        rng = WeightRange(0.5, math.inf)
+        assert not hasattr(rng, "__dict__")
+        with pytest.raises(AttributeError):
+            rng.low = 1.0
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(rng, protocol=protocol))
+            assert clone == rng and hash(clone) == hash(rng)
+
 
 class TestRatioVector:
+    def test_slotted_and_picklable(self):
+        vector = RatioVector.from_bounds([0.2, 0.5], [1.5, 3.0])
+        assert not hasattr(vector, "__dict__")
+        clone = pickle.loads(pickle.dumps(vector, protocol=pickle.HIGHEST_PROTOCOL))
+        assert clone == vector and hash(clone) == hash(vector)
+        assert np.array_equal(clone.corner_weight_vectors(), vector.corner_weight_vectors())
+
     def test_uniform_builds_d_minus_1_ranges(self):
         rv = RatioVector.uniform(0.25, 2.0, 4)
         assert rv.num_ratios == 3

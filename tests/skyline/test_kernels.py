@@ -31,7 +31,9 @@ from repro.skyline.kernels import (
     dominated_mask,
     dominates_matrix,
     monotone_sort_order,
+    self_dominated_mask,
 )
+from repro.skyline import kernels
 
 DISTRIBUTIONS = ("corr", "inde", "anti")
 RATIO = (0.36, 2.75)
@@ -230,6 +232,117 @@ class TestDominatesMatrix:
     def test_empty(self):
         assert dominates_matrix(np.empty((0, 2)), np.ones((3, 2))).shape == (0, 3)
         assert dominates_matrix(np.ones((3, 2)), np.empty((0, 2))).shape == (3, 0)
+
+
+def self_screen_oracle(rows: np.ndarray) -> np.ndarray:
+    """Brute force: rows dominated by any row of the same set."""
+    return dominates_matrix(rows, rows).any(axis=0)
+
+
+def self_screen_cases(n: int, d: int, seed: int) -> dict:
+    """Uniform, skyline-heavy, tie-heavy and duplicate-only row sets."""
+    rng = np.random.default_rng(seed)
+    simplex = rng.random((n, d)) + 1e-3
+    simplex /= simplex.sum(axis=1, keepdims=True)
+    pool = rng.random((5, d))
+    return {
+        "uniform": rng.random((n, d)),
+        # Near the simplex almost nothing dominates anything, so the
+        # screen needs every dominator slice and the sums tie often.
+        "skyline_heavy": simplex + 0.01 * rng.random((n, d)),
+        "grid": rng.integers(0, 3, size=(n, d)).astype(float),
+        "duplicates": pool[rng.integers(0, 5, size=n)],
+    }
+
+
+def rescue_rows(d: int) -> np.ndarray:
+    """Pairs whose computed sums tie although one row dominates the other.
+
+    31 mutually incomparable fillers with smaller sums come first, so the
+    first pair straddles the 32-row dominator slice boundary.  Every
+    victim precedes its dominator in input order.
+    """
+    fillers = [[0.1 + i * 1e-3, 0.5 - i * 1e-3] for i in range(31)]
+    pairs = [[2e-30, 1.0], [1e-30, 1.0], [1e16, 1.0], [1e16, 0.0]]
+    rows = np.array(fillers + pairs)
+    return np.hstack([rows, np.full((rows.shape[0], d - 2), 0.25)])
+
+
+class TestSelfDominatedMask:
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_oracle_unsorted_and_presorted(self, n, d):
+        for kind, rows in self_screen_cases(n, d, seed=10 * n + d).items():
+            expected = self_screen_oracle(rows)
+            assert np.array_equal(self_dominated_mask(rows), expected), kind
+            order = monotone_sort_order(rows)
+            ranked = rows[order]
+            got = self_dominated_mask(
+                ranked, sums=ranked.sum(axis=1), presorted=True
+            )
+            assert np.array_equal(got, expected[order]), kind
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_rounding_rescue_ties(self, d):
+        rows = rescue_rows(d)
+        sums = rows.sum(axis=1)
+        assert sums[31] == sums[32] and sums[33] == sums[34]
+        expected = self_screen_oracle(rows)
+        assert np.flatnonzero(expected).tolist() == [31, 33]
+        assert np.array_equal(self_dominated_mask(rows), expected)
+        order = monotone_sort_order(rows)
+        assert np.array_equal(
+            self_dominated_mask(rows[order], presorted=True), expected[order]
+        )
+
+    def test_memory_cap_and_threads_do_not_change_results(self):
+        rows = self_screen_cases(300, 4, seed=2)["skyline_heavy"]
+        expected = self_screen_oracle(rows)
+        assert np.array_equal(self_dominated_mask(rows, memory_cap=256), expected)
+        assert np.array_equal(self_dominated_mask(rows, threads=2), expected)
+
+    def test_screens_fewer_pairs_than_the_quadratic_pass(self, monkeypatch):
+        # Dominated rows stop acting as dominators, so on data with a small
+        # skyline the screened pairs fall far below the n^2 of
+        # dominated_mask(rows, rows).
+        screened = []
+        original = kernels.dominated_mask
+
+        def counting(cand, dom, **kwargs):
+            screened.append(len(cand) * len(dom))
+            return original(cand, dom, **kwargs)
+
+        monkeypatch.setattr(kernels, "dominated_mask", counting)
+        rows = np.random.default_rng(4).random((512, 3))
+        got = self_dominated_mask(rows)
+        assert np.array_equal(got, self_screen_oracle(rows))
+        assert sum(screened) < 512 * 512 // 8
+
+
+class TestMonotoneSortOrder:
+    @staticmethod
+    def lexsort_reference(rows: np.ndarray) -> np.ndarray:
+        keys = tuple(rows[:, j] for j in range(rows.shape[1] - 1, -1, -1))
+        return np.lexsort(keys + (rows.sum(axis=1),))
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_tie_free_matches_lexsort(self, d):
+        rows = np.random.default_rng(d).random((400, d))
+        assert np.unique(rows.sum(axis=1)).size == 400
+        assert np.array_equal(monotone_sort_order(rows), self.lexsort_reference(rows))
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_tie_heavy_matches_lexsort(self, d):
+        rows = np.random.default_rng(d).integers(0, 4, size=(400, d)).astype(float)
+        assert np.unique(rows.sum(axis=1)).size < 400
+        sums = rows.sum(axis=1)
+        expected = self.lexsort_reference(rows)
+        assert np.array_equal(monotone_sort_order(rows), expected)
+        assert np.array_equal(monotone_sort_order(rows, sums=sums), expected)
+
+    def test_computed_sum_tie_puts_dominator_first(self):
+        rows = rescue_rows(2)[::-1]
+        assert np.array_equal(monotone_sort_order(rows), self.lexsort_reference(rows))
 
 
 class TestBlockSfs:
