@@ -41,7 +41,12 @@ def as_dataset(points: ArrayLike2D) -> np.ndarray:
     An empty collection is allowed (returns an array of shape ``(0, 0)``);
     individual operations decide whether empty input is meaningful.
     """
-    arr = np.asarray(points, dtype=float)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDatasetError(
+            f"dataset must be numeric (n points x d attributes): {exc}"
+        ) from exc
     if arr.size == 0:
         return arr.reshape(0, arr.shape[1] if arr.ndim == 2 else 0)
     if arr.ndim == 1:

@@ -766,7 +766,11 @@ class DatasetSession:
                 self.stats.artifact_invalidations += 1
 
         # --- cached indexes: per-index update/compact/rebuild decision ----
-        remap = _incremental.remap_after_delete(n_old, delete_positions)
+        remap = (
+            _incremental.remap_after_delete(n_old, delete_positions)
+            if self._indexes and delta is not None
+            else None
+        )
         index_plans = []
         index_updates = 0
         index_invalidations = 0
@@ -849,7 +853,7 @@ class DatasetSession:
         self._data = new_data
         self._generation = next_generation
         if delta is not None:
-            self._skyline_idx = np.flatnonzero(delta.is_skyline).astype(np.intp)
+            self._skyline_idx = delta.skyline
             self._skyline_generation = next_generation
             if not delta_from_recompute:
                 self.stats.skyline_inplace_updates += 1

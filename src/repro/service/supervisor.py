@@ -66,6 +66,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.service.worker import worker_main
+from repro.skyline.incremental import integer_positions
 
 logger = logging.getLogger(__name__)
 
@@ -484,11 +485,7 @@ class EclipseService:
                     f"inserted points have d={insert_points.shape[1]}, "
                     f"service datasets have d={self._dims}"
                 )
-        deletes = np.asarray(
-            [] if delete_gids is None else delete_gids, dtype=np.intp
-        )
-        if deletes.ndim != 1:
-            raise ServiceError("delete_gids must be a 1-D sequence of ids")
+        deletes = integer_positions(delete_gids, "delete_gids", ServiceError)
         if client_key is not None:
             client_key = (str(client_key[0]), int(client_key[1]))
         work = _UpdateWork(

@@ -39,6 +39,12 @@ class TestCoercion:
         with pytest.raises(InvalidDatasetError):
             as_dataset([[1.0, np.inf]])
 
+    def test_as_dataset_rejects_non_numeric(self):
+        with pytest.raises(InvalidDatasetError, match="numeric"):
+            as_dataset([["a", "b"]])
+        with pytest.raises(InvalidDatasetError, match="numeric"):
+            as_dataset([[1.0, 2.0], [3.0]])
+
     def test_as_dataset_empty(self):
         assert as_dataset([]).shape[0] == 0
 

@@ -418,3 +418,48 @@ class TestUpdateValidation:
         with pytest.raises(InvalidDatasetError):
             session.apply_updates(inserts=np.array([[np.nan, np.nan]]))
         assert np.array_equal(session.run_indices(paper_ratio), want)
+
+    def test_fractional_deletes_rejected(self, hotels):
+        from repro.errors import InvalidDatasetError
+
+        session = DatasetSession(hotels)
+        # Cast to intp, [1.7, 2.2] would delete rows 1 and 2.
+        with pytest.raises(InvalidDatasetError, match="integers"):
+            session.apply_updates(deletes=[1.7, 2.2])
+        assert session.generation == 0
+        assert session.num_points == hotels.shape[0]
+
+    def test_boolean_mask_deletes_rejected(self, hotels):
+        from repro.errors import InvalidDatasetError
+
+        session = DatasetSession(hotels)
+        # Cast to intp, a short mask would delete rows 0 and 1; a
+        # full-length one is not a position list either.
+        full = np.zeros(hotels.shape[0], dtype=bool)
+        full[2] = True
+        for mask in ([True, False], full):
+            with pytest.raises(InvalidDatasetError, match="integers"):
+                session.apply_updates(deletes=mask)
+        assert session.generation == 0
+
+    def test_string_deletes_rejected(self, hotels):
+        from repro.errors import InvalidDatasetError
+
+        session = DatasetSession(hotels)
+        with pytest.raises(InvalidDatasetError):
+            session.apply_updates(deletes=["a"])
+        assert session.generation == 0
+
+    def test_empty_float_deletes_accepted(self, hotels):
+        session = DatasetSession(hotels)
+        report = session.apply_updates(deletes=np.array([], dtype=float))
+        assert report.num_deleted == 0
+        assert session.generation == 0
+
+    def test_non_numeric_inserts_rejected(self, hotels):
+        from repro.errors import InvalidDatasetError
+
+        session = DatasetSession(hotels)
+        with pytest.raises(InvalidDatasetError, match="numeric"):
+            session.apply_updates(inserts=[["a", "b"]])
+        assert session.generation == 0

@@ -225,6 +225,28 @@ class TestValidationAndLifecycle:
             with pytest.raises(ServiceError):
                 service.apply_updates(delete_gids=np.ones((2, 2), dtype=int))
 
+    def test_non_integer_delete_gids_rejected(self):
+        data = generate_dataset("CORR", 80, 2, seed=0)
+        with EclipseService(data, config=FAST) as service:
+            before = service.acked_seq
+            # Cast to intp these would silently delete gids 1 and 3.
+            with pytest.raises(ServiceError, match="integers"):
+                service.apply_updates(delete_gids=[1.9, 3.2])
+            with pytest.raises(ServiceError, match="integers"):
+                service.apply_updates(delete_gids=[True, False])
+            with pytest.raises(ServiceError):
+                service.apply_updates(delete_gids=["a"])
+            assert service.acked_seq == before
+            # Empty input of any dtype is still a valid (empty) delete list.
+            ack = service.apply_updates(delete_gids=np.array([], dtype=float))
+            assert ack.rows_deleted == 0
+
+    def test_non_numeric_inserts_rejected(self):
+        data = generate_dataset("CORR", 80, 2, seed=0)
+        with EclipseService(data, config=FAST) as service:
+            with pytest.raises(InvalidDatasetError):
+                service.apply_updates(inserts=[["a", "b"]])
+
     def test_bad_shard_count_rejected(self):
         with pytest.raises(ServiceError):
             EclipseService(np.ones((4, 2)), config=ServiceConfig(num_shards=0))

@@ -172,3 +172,201 @@ class TestApplyUpdatesFuzz:
         assert new_data.shape == (0, 2)
         assert delta.is_skyline.size == 0
         assert delta.removed_old.tolist() == [0, 1]
+
+
+# ----------------------------------------------------------------------
+# Oracle tests: apply_updates against compose-then-recompute
+# ----------------------------------------------------------------------
+def recompute_oracle(data, deletes, inserts):
+    """``(new_data, delta)`` the slow way: ``np.delete`` + ``np.vstack``, a
+    from-scratch block-SFS skyline of both sides, and ``membership_delta``."""
+    deletes = np.unique(np.asarray([] if deletes is None else deletes, dtype=np.intp))
+    new_data = np.delete(data, deletes, axis=0)
+    if inserts is not None and inserts.shape[0]:
+        new_data = np.vstack([new_data, inserts])
+    old_sky = membership(data, skyline_indices(data, method="sfs"))
+    new_sky = membership(new_data, skyline_indices(new_data, method="sfs"))
+    return new_data, inc.membership_delta(data.shape[0], deletes, old_sky, new_sky)
+
+
+def assert_matches_oracle(data, deletes, inserts):
+    sky = skyline_indices(data, method="sfs")
+    new_data, delta = inc.apply_updates(data, sky, inserts, deletes)
+    want_data, want = recompute_oracle(data, deletes, inserts)
+    assert new_data.shape == want_data.shape
+    assert new_data.tobytes() == want_data.tobytes()
+    assert not np.shares_memory(new_data, data)
+    assert np.array_equal(delta.is_skyline, want.is_skyline)
+    for field in ("added", "removed_old", "skyline"):
+        got, expected = getattr(delta, field), getattr(want, field)
+        assert got.dtype == np.intp, field
+        assert got.tolist() == expected.tolist(), field
+    assert delta.num_points == new_data.shape[0]
+    return delta
+
+
+def grid(rng, n, d, high=5):
+    """Tie-heavy integer grid rows: duplicates and per-column ties abound."""
+    return rng.integers(0, high, size=(n, d)).astype(float)
+
+
+def wide_skyline(rng, d):
+    """A lattice antichain of more than 32 skyline rows (one kernel step; all
+    coordinate sums equal), plus grid rows each dominated by one of them."""
+    total = {2: 40, 3: 10, 4: 6, 5: 4}[d]
+    lattice = np.array(
+        [p for p in np.ndindex(*([total + 1] * d)) if sum(p) == total], dtype=float
+    )
+    assert lattice.shape[0] > 32
+    shadow = lattice[rng.integers(0, lattice.shape[0], size=60)] + rng.integers(
+        0, 3, size=(60, d)
+    )
+    rows = np.vstack([lattice, shadow])
+    return rows[rng.permutation(rows.shape[0])]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+class TestApplyUpdatesOracle:
+    def test_random_batches(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(60):
+            n = int(rng.integers(0, 60))
+            data = grid(rng, n, d)
+            deletes = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            inserts = grid(rng, int(rng.integers(0, 16)), d)
+            assert_matches_oracle(data, deletes, inserts)
+
+    def test_delete_every_skyline_row(self, d):
+        rng = np.random.default_rng(200 + d)
+        for data in (grid(rng, 50, d), wide_skyline(rng, d)):
+            sky = skyline_indices(data, method="sfs")
+            assert_matches_oracle(data, sky, None)
+            assert_matches_oracle(data, sky, grid(rng, 10, d))
+
+    def test_delete_around_one_kernel_step_of_skyline_rows(self, d):
+        # Shadows of up to and past one kernel step of deleted skyline rows,
+        # screened against the rest of an equal-sum skyline.
+        rng = np.random.default_rng(250 + d)
+        data = wide_skyline(rng, d)
+        sky = skyline_indices(data, method="sfs")
+        for count in (1, 31, 32, 33):
+            deletes = rng.choice(sky, size=count, replace=False)
+            assert_matches_oracle(data, deletes, grid(rng, 5, d, high=3))
+
+    def test_delete_all_rows(self, d):
+        rng = np.random.default_rng(300 + d)
+        data = grid(rng, 40, d)
+        delta = assert_matches_oracle(data, np.arange(40), None)
+        assert delta.is_skyline.size == 0
+        assert_matches_oracle(data, np.arange(40), grid(rng, 7, d))
+
+    def test_inserts_only(self, d):
+        rng = np.random.default_rng(400 + d)
+        data = grid(rng, 50, d)
+        for _ in range(10):
+            delta = assert_matches_oracle(data, None, grid(rng, 12, d))
+            assert delta.added.size == 0 or delta.added.min() >= 50
+
+    def test_deletes_only(self, d):
+        rng = np.random.default_rng(500 + d)
+        data = grid(rng, 50, d)
+        for _ in range(10):
+            deletes = rng.choice(50, size=int(rng.integers(1, 50)), replace=False)
+            assert_matches_oracle(data, deletes, None)
+
+    def test_arrivals_duplicating_skyline_rows(self, d):
+        # Duplicates never dominate each other: copies of skyline rows join
+        # the skyline and demote nobody.
+        rng = np.random.default_rng(600 + d)
+        data = grid(rng, 50, d)
+        sky = skyline_indices(data, method="sfs")
+        copies = data[sky[: max(1, sky.size // 2)]]
+        delta = assert_matches_oracle(data, None, copies)
+        assert delta.removed_old.size == 0
+        assert delta.added.size == copies.shape[0]
+        assert_matches_oracle(data, sky[:1], np.vstack([copies, copies]))
+
+    def test_transient_promotion_is_in_neither_list(self, d):
+        # Deleting s promotes y; the arrival z then demotes y again.
+        s, y, far, z = np.ones(d), np.full(d, 2.0), np.full(d, 9.0), np.full(d, 1.5)
+        data = np.vstack([s, y, far])
+        delta = assert_matches_oracle(data, [0], z[None, :])
+        assert delta.added.tolist() == [2]
+        assert delta.removed_old.tolist() == [0]
+        assert delta.skyline.tolist() == [2]
+
+
+class TestComposeUpdatedData:
+    def test_matches_delete_then_vstack(self):
+        rng = np.random.default_rng(9)
+        data = rng.random((2000, 3))
+        inserts = rng.random((7, 3))
+        assert 2000 // inc._ROWS_PER_SLICE == 15
+        cases = [  # slice runs up to 15 deletes, a mask gather past that
+            np.array([0]),
+            np.array([1999]),
+            np.array([0, 1, 2, 1998, 1999]),
+            np.arange(0, 2000, 134),  # 15 deletes
+            np.arange(0, 2000, 125),  # 16 deletes
+            np.arange(0, 2000, 3),
+        ]
+        for deletes in cases:
+            for arrivals in (None, inserts):
+                got = inc.compose_updated_data(data, deletes, arrivals)
+                want = np.delete(data, deletes, axis=0)
+                if arrivals is not None:
+                    want = np.vstack([want, arrivals])
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+                assert not np.shares_memory(got, data)
+                assert not np.shares_memory(got, inserts)
+
+    def test_no_change_is_a_fresh_copy(self):
+        data = np.arange(6.0).reshape(3, 2)
+        got = inc.compose_updated_data(data, np.empty(0, dtype=np.intp), None)
+        assert np.array_equal(got, data) and not np.shares_memory(got, data)
+
+    def test_empty_prefix_takes_the_arrivals_shape(self):
+        inserts = np.ones((2, 3))
+        for data, deletes in (
+            (np.empty((0, 0)), np.empty(0, dtype=np.intp)),
+            (np.ones((2, 3)), np.array([0, 1])),
+        ):
+            got = inc.compose_updated_data(data, deletes, inserts)
+            assert got.shape == (2, 3) and not np.shares_memory(got, inserts)
+
+
+class TestDeleteValidation:
+    """Malformed delete positions raise instead of deleting the wrong rows."""
+
+    def test_fractional_positions_rejected(self):
+        with pytest.raises(InvalidDatasetError, match="integers"):
+            inc.validate_deletes(5, [1.7, 2.2])
+
+    def test_boolean_mask_rejected(self):
+        with pytest.raises(InvalidDatasetError, match="integers"):
+            inc.validate_deletes(5, [True, False])
+        with pytest.raises(InvalidDatasetError, match="integers"):
+            inc.validate_deletes(5, np.ones(5, dtype=bool))
+
+    def test_strings_rejected(self):
+        with pytest.raises(InvalidDatasetError):
+            inc.validate_deletes(5, ["a"])
+
+    def test_ragged_rejected(self):
+        with pytest.raises(InvalidDatasetError):
+            inc.validate_deletes(5, [[1], [2, 3]])
+
+    def test_empty_input_of_any_dtype_accepted(self):
+        for empty in (None, [], np.array([], dtype=float)):
+            got = inc.validate_deletes(5, empty)
+            assert got.size == 0 and got.dtype == np.intp
+
+    def test_integer_dtypes_accepted(self):
+        for dtype in (np.int8, np.uint16, np.int64):
+            got = inc.validate_deletes(5, np.array([3, 1], dtype=dtype))
+            assert got.tolist() == [1, 3] and got.dtype == np.intp
+
+    def test_non_numeric_inserts_rejected(self):
+        data = np.ones((3, 2))
+        with pytest.raises(InvalidDatasetError, match="numeric"):
+            inc.apply_updates(data, np.array([0]), [["a", "b"]], None)

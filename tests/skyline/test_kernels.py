@@ -466,3 +466,102 @@ class TestBlockingHelpers:
         buf.keep(second)
         assert np.array_equal(buf.rows, expected)
         assert len(buf) == 3
+
+
+def step_rescue_rows(k: int, boundaries, d: int) -> np.ndarray:
+    """``k`` dominators that dominate nothing except at ``boundaries``.
+
+    The fillers lead with a huge first coordinate, so they never sit
+    ``<=`` a candidate.  At each boundary index ``i`` the rows ``i - 1``
+    and ``i`` are the dominators of the two computed-sum-tie pairs of
+    :func:`rescue_rows`, so one ends a kernel step and the next opens one.
+    """
+    rows = np.full((k, d), 0.25)
+    rows[:, 0] = 1e20 + np.arange(k)
+    for i in boundaries:
+        if 1 <= i < k:
+            rows[i - 1, :2] = [1e-30, 1.0]
+            rows[i, :2] = [1e16, 0.0]
+    return rows
+
+
+class TestWidenedDominatorStep:
+    """``dominated_mask`` against the ``dominates_matrix`` oracle across the
+    candidate-block heights where the dominator step widens."""
+
+    @pytest.mark.parametrize("m", [1, 2, 50, 511, 512, 513])
+    @pytest.mark.parametrize("k", [0, 1, 31, 33, 540, 2000])
+    def test_matches_oracle(self, m, k):
+        d = 3
+        rng = np.random.default_rng(1000 * m + k)
+        grid_cand = rng.integers(0, 4, size=(m, d)).astype(float)
+        grid_dom = rng.integers(0, 4, size=(k, d)).astype(float)
+        # Near-simplex rows rarely dominate each other, so every step runs.
+        simplex = rng.random((m + k, d)) + 1e-3
+        simplex /= simplex.sum(axis=1, keepdims=True)
+        step = kernels._dominator_step(m, k, d, None)
+        tie_cand = grid_cand.copy()
+        tie_cand[:2] = np.hstack(
+            [[[2e-30, 1.0], [1e16, 1.0]], np.full((2, d - 2), 0.25)]
+        )[: tie_cand.shape[0]]
+        cases = {
+            "grid": (grid_cand, grid_dom),
+            "simplex": (simplex[:m], simplex[m:]),
+            "rescue": (tie_cand, step_rescue_rows(k, (32, step), d)),
+        }
+        for kind, (cand, dom) in cases.items():
+            expected = dominates_matrix(dom, cand).any(axis=0)
+            assert np.array_equal(dominated_mask(cand, dom), expected), kind
+            assert np.array_equal(
+                dominated_mask(cand, dom, memory_cap=256), expected
+            ), kind
+            assert np.array_equal(
+                dominated_mask(cand, dom, threads=2), expected
+            ), kind
+
+    def test_rescue_pairs_are_hit_on_both_sides_of_the_boundary(self):
+        d, m, k = 3, 50, 540
+        step = kernels._dominator_step(m, k, d, None)
+        assert step > kernels._DOMINATOR_CHUNK
+        cand = np.full((m, d), -1.0)  # dominated by no row of ``dom``
+        cand[:2] = [[2e-30, 1.0, 0.25], [1e16, 1.0, 0.25]]
+        dom = step_rescue_rows(k, (step,), d)
+        got = dominated_mask(cand, dom)
+        assert np.flatnonzero(got).tolist() == [0, 1]
+        assert np.array_equal(got, dominates_matrix(dom, cand).any(axis=0))
+
+    def test_step_widens_only_for_short_blocks(self):
+        chunk = kernels._DOMINATOR_CHUNK
+        # 50 arrivals against a 540-row skyline: one or two steps, not 17.
+        assert kernels._dominator_step(50, 540, 3, None) >= 540 // 2
+        # Self-screen slices and >= 512-row blocks keep the fixed step.
+        assert kernels._dominator_step(50, chunk, 3, None) == chunk
+        assert kernels._dominator_step(512, 2000, 3, None) == chunk
+        assert kernels._dominator_step(4096, 2000, 3, None) == chunk
+
+    def test_step_stays_inside_the_memory_cap(self):
+        chunk = kernels._DOMINATOR_CHUNK
+        for rows, d, cap in [(50, 3, 256), (50, 3, 64 * 1024), (2, 8, 4096)]:
+            step = kernels._dominator_step(rows, 2000, d, cap)
+            per_step = rows * step * d * 2
+            assert step == chunk or per_step <= cap
+
+    def test_process_backend_forwards_the_step(self, monkeypatch):
+        # Remove the dispatch gate so the screen really crosses processes:
+        # the widened step travels as a kernel constant.
+        from repro.core.session import SessionStats
+        from repro.perf import executor
+
+        monkeypatch.setattr(executor, "MIN_PROCESS_DISPATCH_BYTES", 0)
+        d, m, k = 3, 100, 540
+        step = kernels._dominator_step(50, k, d, None)
+        cand = np.full((m, d), -1.0)
+        cand[:2] = [[2e-30, 1.0, 0.25], [1e16, 1.0, 0.25]]
+        cand[2:] = np.random.default_rng(5).integers(0, 4, size=(m - 2, d))
+        dom = step_rescue_rows(k, (32, step), d)
+        expected = dominates_matrix(dom, cand).any(axis=0)
+        stats = SessionStats()
+        with executor.kernel_context(backend="process", stats=stats):
+            got = dominated_mask(cand, dom, threads=2)
+        assert stats.process_dispatches > 0
+        assert np.array_equal(got, expected)
